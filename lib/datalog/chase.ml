@@ -82,7 +82,7 @@ let trigger_key (tgd : Tgd.t) subst =
       tgd.Tgd.body )
 
 let run_internal ?(variant = Restricted) ?(semi_naive = true)
-    ?(provenance = false) ?resume_delta ?prior_provenance ?guard ?max_steps
+    ?(provenance = false) ?seed ?prior_provenance ?guard ?max_steps
     ?max_nulls ?checkpoint ?null_base ?prior_stats ?metrics program start =
   let guard =
     match guard with
@@ -164,17 +164,34 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
     | None -> fun _ -> None
     | Some p -> fun name -> Some (Profile.rule p name)
   in
-  (* Delta of the previous round, per predicate. *)
-  let delta : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
-  let delta_mem pred t =
-    match Hashtbl.find_opt delta pred with
-    | Some s -> Tuple.Set.mem t s
-    | None -> false
+  (* The insertion log: every fact this run inserts or is seeded with,
+     per predicate, newest first, stamped with the clock at insertion.
+     [since.(i)] is the clock at TGD [i]'s last body enumeration; its
+     delta is every fact stamped since.  [-1] enumerates in full: the
+     first round of an unseeded run, naive mode, and after an EGD
+     merge, which rewrites logged facts and so also clears the log. *)
+  let log : (string, (int * Tuple.t) list) Hashtbl.t = Hashtbl.create 16 in
+  let clock = ref 0 in
+  let stamp pred t =
+    let prev = Option.value ~default:[] (Hashtbl.find_opt log pred) in
+    Hashtbl.replace log pred ((!clock, t) :: prev);
+    incr clock
   in
-  let delta_tuples pred =
-    match Hashtbl.find_opt delta pred with
-    | Some s -> Tuple.Set.elements s
-    | None -> []
+  let stamped_since k pred =
+    let rec go acc = function
+      | (k', t) :: rest when k' >= k -> go (Tuple.Set.add t acc) rest
+      | _ -> acc
+    in
+    go Tuple.Set.empty (Option.value ~default:[] (Hashtbl.find_opt log pred))
+  in
+  let since =
+    Array.make
+      (List.length program.Program.tgds)
+      (if semi_naive && seed <> None then 0 else -1)
+  in
+  let forget () =
+    Hashtbl.reset log;
+    Array.fill since 0 (Array.length since) (-1)
   in
   (* Instantiate the head of [tgd] under [subst], inventing fresh nulls
      for existential variables; returns the ground head atoms. *)
@@ -196,7 +213,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
     Eval.exists ~guard inst (List.map (Subst.apply_atom subst) tgd.Tgd.head)
   in
 
-  let fire_trigger added prof_h (tgd : Tgd.t) subst =
+  let fire_trigger prof_h (tgd : Tgd.t) subst =
     Metrics.inc c_triggers;
     Guard.count_step guard;
     (match prof_h with Some h -> Profile.add_trigger h | None -> ());
@@ -236,11 +253,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
                    Hashtbl.replace tbl (Atom.pred a, t)
                      { rule = tgd.Tgd.name; premises = Lazy.force premises }
                | None -> ());
-              let prev =
-                Option.value ~default:Tuple.Set.empty
-                  (Hashtbl.find_opt added (Atom.pred a))
-              in
-              Hashtbl.replace added (Atom.pred a) (Tuple.Set.add t prev)
+              stamp (Atom.pred a) t
             end)
           head;
         if !new_fact then begin
@@ -258,7 +271,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
   in
 
   (* Enforce EGDs to fixpoint.  Returns true if any value was merged
-     (in which case semi-naive deltas are no longer valid). *)
+     (in which case the insertion log is no longer valid). *)
   let rec apply_egds merged =
     let violation =
       List.find_map
@@ -348,35 +361,18 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
          delta against the instance at this point. *)
       ck (fun c -> c.on_start inst);
       (* EGDs and NCs must hold of the extensional data too. *)
-      let merged0 = apply_egds false in
-      if merged0 then Hashtbl.reset delta;
+      if apply_egds false then forget ();
       check_ncs ();
-      let continue = ref true in
-      let first_round = ref true in
-      (* Incremental mode: seed the delta with the resumed facts and
-         start semi-naive immediately.  An initial EGD merge rewrites
-         values the seeded tuples may still mention, so it invalidates
-         the frontier: fall back to a full first round. *)
-      (match resume_delta with
-       | Some new_facts when semi_naive && not merged0 ->
-         List.iter
-           (fun (pred, t) ->
+      (* Seeded facts (a resume frontier, an extension's new facts) are
+         stamped like derived ones, so the first round sees them as
+         every rule's delta. *)
+      Option.iter
+        (List.iter (fun (pred, t) ->
              if Instance.add_tuple inst pred t then
                ck (fun c -> c.on_fact pred t);
-             let prev =
-               Option.value ~default:Tuple.Set.empty
-                 (Hashtbl.find_opt delta pred)
-             in
-             Hashtbl.replace delta pred (Tuple.Set.add t prev))
-           new_facts;
-         first_round := false
-       | Some new_facts ->
-         List.iter
-           (fun (pred, t) ->
-             if Instance.add_tuple inst pred t then
-               ck (fun c -> c.on_fact pred t))
-           new_facts
-       | None -> ());
+             stamp pred t))
+        seed;
+      let continue = ref true in
       while !continue do
         Mdqa_obs.Failpoint.hit "chase.round";
         Metrics.inc c_rounds;
@@ -389,16 +385,17 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
         @@ fun () ->
         Profile.with_round round_no
         @@ fun () ->
-        let added : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun (tgd : Tgd.t) ->
+        let round_start = !clock in
+        List.iteri
+          (fun i (tgd : Tgd.t) ->
             let ph = prof_rule tgd.Tgd.name in
             let t0 = match prof with Some p -> Profile.now p | None -> 0. in
             let enumerate () =
-              if semi_naive && not !first_round then
-                Eval.delta_answers ~guard inst ~delta:delta_mem ~delta_tuples
+              if since.(i) < 0 then Eval.answers ~guard inst tgd.Tgd.body
+              else
+                Eval.delta_answers ~guard inst
+                  ~delta:(stamped_since since.(i))
                   tgd.Tgd.body
-              else Eval.answers ~guard inst tgd.Tgd.body
             in
             (* Atom-level scan/match statistics attribute to this rule
                only during its own body enumeration — applicability
@@ -408,6 +405,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
               | Some p -> Profile.with_scope p tgd.Tgd.name enumerate
               | None -> enumerate ()
             in
+            if semi_naive then since.(i) <- !clock;
             (match ph with
              | Some h -> Profile.add_matches h (List.length triggers)
              | None -> ());
@@ -430,7 +428,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
                 in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.add seen key ();
-                  fire_trigger added ph tgd s
+                  fire_trigger ph tgd s
                 end)
               triggers;
             match prof, ph with
@@ -440,30 +438,25 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
           program.Program.tgds;
         let merged = apply_egds false in
         check_ncs ();
-        let grew = Hashtbl.length added > 0 in
-        if merged then begin
-          (* Null merges invalidate deltas: fall back to full
-             enumeration next round. *)
-          Hashtbl.reset delta;
-          first_round := true;
-          continue := true
-        end
-        else begin
-          Hashtbl.reset delta;
-          Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) added;
-          first_round := false;
-          continue := grew
-        end;
-        (* Round boundary: a durable point.  The frontier is the delta
-           just installed; [None] after a merge, which invalidated it. *)
+        if merged then forget ();
+        continue := merged || !clock > round_start;
+        (* Round boundary: a durable point.  Every rule has enumerated
+           since [round_start], so the facts stamped since then are a
+           superset of what any rule has yet to see; [None] after a
+           merge, which invalidated them. *)
         ck (fun c ->
             let frontier =
               if merged then None
               else
                 Some
                   (Hashtbl.fold
-                     (fun pred s acc -> (pred, Tuple.Set.elements s) :: acc)
-                     delta []
+                     (fun pred _ acc ->
+                       match
+                         Tuple.Set.elements (stamped_since round_start pred)
+                       with
+                       | [] -> acc
+                       | ts -> (pred, ts) :: acc)
+                     log []
                   |> List.sort (fun (a, _) (b, _) -> String.compare a b))
             in
             c.on_round ~instance:inst ~frontier (current_stats ()))
@@ -484,20 +477,18 @@ let run ?variant ?semi_naive ?provenance ?guard ?max_steps ?max_nulls
 
 let resume ?variant ?semi_naive ?guard ?max_steps ?max_nulls ?checkpoint
     ?frontier ?null_base ?prior_stats ?metrics program image =
-  (* An empty frontier would make the seeded semi-naive loop terminate
-     immediately whatever the image contains; a full first round is the
-     safe (and cheap, if truly saturated) interpretation. *)
-  let resume_delta =
-    match frontier with Some (_ :: _ as l) -> Some l | _ -> None
-  in
+  (* An empty frontier would make the seeded first round see nothing
+     new whatever the image contains; a full first round is the safe
+     (and cheap, if truly saturated) interpretation. *)
+  let seed = match frontier with Some (_ :: _ as l) -> Some l | _ -> None in
   run_internal ?variant ?semi_naive ?guard ?max_steps ?max_nulls ?checkpoint
-    ?resume_delta ?null_base ?prior_stats ?metrics program image
+    ?seed ?null_base ?prior_stats ?metrics program image
 
 let extend ?guard ?max_steps ?max_nulls ?metrics program (prior : result)
     ~facts =
   match prior.outcome with
   | Saturated ->
-    run_internal ~resume_delta:facts ?prior_provenance:prior.provenance
+    run_internal ~seed:facts ?prior_provenance:prior.provenance
       ?guard ?max_steps ?max_nulls ?metrics program prior.instance
   | _ ->
     let inst = Instance.copy prior.instance in

@@ -14,9 +14,11 @@
       regardless of head satisfaction (kept for the ablation benchmark:
       it invents many more nulls).
 
-    Trigger enumeration is semi-naive by default: after the first
-    round, only matches involving a fact derived in the previous round
-    are considered.
+    Trigger enumeration is semi-naive by default: each TGD only
+    considers matches involving a fact inserted (or seeded) since its
+    last body enumeration, so a run without EGD merges enumerates each
+    body match once.  The first round, naive mode and the round after
+    an EGD merge enumerate in full.
 
     For weakly-sticky programs over a fixed dimensional structure the
     chase terminates; resource budgets (steps, nulls, wall-clock
@@ -85,8 +87,9 @@ type checkpoint = {
     frontier:(string * Mdqa_relational.Tuple.t list) list option ->
     stats ->
     unit;
-      (** a round completed; [frontier] is the semi-naive delta for the
-          next round, [None] when an EGD merge invalidated it *)
+      (** a round completed; [frontier] is the facts derived during it
+          (a superset of what any rule has yet to see), [None] when an
+          EGD merge invalidated it *)
   on_done : instance:Mdqa_relational.Instance.t -> outcome -> stats -> unit;
       (** the run ended (saturated, degraded or failed).  Implementors
           must not raise: exceptions here would mask the outcome. *)
@@ -148,14 +151,14 @@ val resume :
     an uninterrupted run reaches — same facts up to the labels of nulls
     invented after the interruption, same outcome.
 
-    [frontier] (if non-empty) seeds the semi-naive delta so the first
+    [frontier] (if non-empty) is seeded like new facts, so the first
     round only considers triggers involving facts added since the last
-    completed round; without it the first round evaluates every rule
-    body in full — always sound, just slower.  [null_base] lower-bounds
-    fresh null labels so resumed runs never re-issue a label the prior
-    run used (even one merged away by an EGD); [prior_stats] are folded
-    into the reported statistics.  Provenance does not survive a resume
-    (it is not persisted). *)
+    completed round began; without it the first round evaluates every
+    rule body in full — always sound, just slower.  [null_base]
+    lower-bounds fresh null labels so resumed runs never re-issue a
+    label the prior run used (even one merged away by an EGD);
+    [prior_stats] are folded into the reported statistics.  Provenance
+    does not survive a resume (it is not persisted). *)
 
 val extend :
   ?guard:Guard.t ->
@@ -167,12 +170,13 @@ val extend :
   facts:(string * Mdqa_relational.Tuple.t) list ->
   result
 (** Incremental chase: add [facts] to an already-saturated chase result
-    and continue semi-naive rounds with exactly those facts as the
-    initial delta — the work is proportional to the consequences of the
-    new facts, not to the whole instance.  The given result's instance
-    is not mutated; its provenance table (if any) is carried over and
-    extended.  Precondition: [result] was produced by {!run} on the
-    same program and is [Saturated] (otherwise the outcome of a full
-    {!run} is returned instead). *)
+    and continue semi-naive rounds with those facts seeded as every
+    rule's first delta, as {!resume} seeds its frontier — the work is
+    proportional to the consequences of the new facts, not to the whole
+    instance.  The given result's instance is not mutated; its
+    provenance table (if any) is carried over and extended.
+    Precondition: [result] was produced by {!run} on the same program
+    and is [Saturated] (otherwise the outcome of a full {!run} is
+    returned instead). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

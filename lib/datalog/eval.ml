@@ -44,9 +44,11 @@ let score inst s tg =
   in
   (estimate, -List.length bound)
 
+(* The most selective atom, its estimate (exactly the size of the
+   candidate list [search] walks for it) and the other atoms. *)
 let pick_next inst s atoms =
   let rec go best best_score rest = function
-    | [] -> (best, List.rev rest)
+    | [] -> (best, fst best_score, List.rev rest)
     | x :: xs ->
       let sc = score inst s x in
       if sc < best_score then go x sc (best :: rest) xs
@@ -92,7 +94,7 @@ let search ?guard ?(cmps = []) inst tagged_atoms ~emit =
           emit s
         end
       | _ -> (
-        let tg, rest = pick_next inst s atoms in
+        let tg, probed, rest = pick_next inst s atoms in
         let atom = tg.t_atom in
         match Instance.find inst (Atom.pred atom) with
         | None -> ()
@@ -108,9 +110,11 @@ let search ?guard ?(cmps = []) inst tagged_atoms ~emit =
             | None -> Relation.scan r bound
           in
           (* With an attribution scope open (chase rule body or named
-             query), count tuples scanned and substitutions surviving
-             this atom; the counters flush once per atom visit so the
-             per-tuple loop stays allocation-free. *)
+             query), count the candidates probed (the index bucket or
+             delta list, before filtering on the other bound positions)
+             and the substitutions surviving this atom; the counter
+             flushes once per atom visit so the per-tuple loop stays
+             allocation-free. *)
           (match Mdqa_obs.Profile.scoped () with
            | None ->
              List.iter
@@ -125,11 +129,10 @@ let search ?guard ?(cmps = []) inst tagged_atoms ~emit =
                    | None -> ())
                candidates
            | Some p ->
-             let scanned = ref 0 and matched = ref 0 in
+             let matched = ref 0 in
              List.iter
                (fun tuple ->
                  tick ();
-                 incr scanned;
                  if tg.keep tuple then
                    match
                      Unify.match_against ~init:s ~pattern
@@ -141,7 +144,7 @@ let search ?guard ?(cmps = []) inst tagged_atoms ~emit =
                    | None -> ())
                candidates;
              Mdqa_obs.Profile.atom_visit p ~idx:tg.t_idx
-               ~pred:(Atom.pred atom) ~scanned:!scanned ~matched:!matched)))
+               ~pred:(Atom.pred atom) ~scanned:probed ~matched:!matched)))
   in
   go Subst.empty tagged_atoms cmps
 
@@ -185,33 +188,25 @@ let holds_fact inst a =
 
 (* Semi-naive enumeration: exactly the matches using at least one
    delta fact, partitioned so no match is produced twice: for each atom
-   index i, atom i matches delta facts only, atoms before i old facts
-   only, atoms after i are unrestricted. *)
-let delta_answers ?guard ?cmps inst ~delta ?delta_tuples atoms =
+   index i with a non-empty delta, atom i matches delta facts only,
+   atoms before i non-delta facts only, atoms after i are
+   unrestricted. *)
+let delta_answers ?guard ?cmps inst ~delta atoms =
   let out = ref [] in
-  let n = List.length atoms in
-  for i = 0 to n - 1 do
-    let tagged =
-      List.mapi
-        (fun j a ->
+  let atoms = List.mapi (fun j a -> (j, a, delta (Atom.pred a))) atoms in
+  List.iter
+    (fun (i, _, d_i) ->
+      if not (Tuple.Set.is_empty d_i) then
+        let tag (j, a, d) =
           if j = i then
-            { t_atom = a;
-              t_idx = j;
-              keep = (fun tuple -> delta (Atom.pred a) tuple);
-              candidates =
-                (match delta_tuples with
-                 | Some f ->
-                   let l = f (Atom.pred a) in
-                   Some (List.length l, l)
-                 | None -> None) }
+            { (plain j a) with
+              keep = (fun t -> Tuple.Set.mem t d);
+              candidates = Some (Tuple.Set.cardinal d, Tuple.Set.elements d) }
           else if j < i then
-            { t_atom = a;
-              t_idx = j;
-              keep = (fun tuple -> not (delta (Atom.pred a) tuple));
-              candidates = None }
-          else plain j a)
-        atoms
-    in
-    search ?guard ?cmps inst tagged ~emit:(fun s -> out := s :: !out)
-  done;
+            { (plain j a) with keep = (fun t -> not (Tuple.Set.mem t d)) }
+          else plain j a
+        in
+        search ?guard ?cmps inst (List.map tag atoms)
+          ~emit:(fun s -> out := s :: !out))
+    atoms;
   List.rev !out

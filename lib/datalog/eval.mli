@@ -65,14 +65,14 @@ val delta_answers :
   ?guard:Guard.t ->
   ?cmps:Atom.Cmp.t list ->
   Mdqa_relational.Instance.t ->
-  delta:(string -> Mdqa_relational.Tuple.t -> bool) ->
-  ?delta_tuples:(string -> Mdqa_relational.Tuple.t list) ->
+  delta:(string -> Mdqa_relational.Tuple.Set.t) ->
   Atom.t list ->
   Subst.t list
 (** Like {!answers} but keeps only matches in which at least one body
-    atom is instantiated to a fact satisfying [delta] — the semi-naive
-    restriction used by the chase to enumerate only new triggers.  When
-    [delta_tuples] lists the delta per predicate, the delta-constrained
-    atom is evaluated directly over that list instead of scanning the
-    relation, making small-delta rounds proportional to the delta.
+    atom is instantiated to a fact of [delta pred] (facts of the
+    instance) — the semi-naive restriction the chase uses to enumerate
+    only triggers a rule has not yet seen.  Each match is produced
+    once.  A delta-constrained atom is evaluated over its delta set when
+    that is smaller than the index bucket, so small deltas cost time
+    proportional to the delta.
     @raise Guard.Exhausted when the guard trips. *)

@@ -40,7 +40,10 @@ val extensional_support : tree -> (string * Mdqa_relational.Tuple.t) list
 type atom_cost = {
   atom : Atom.t;
   atom_idx : int;  (** source position in the rule body *)
-  scanned : int;  (** candidate tuples iterated at this atom *)
+  scanned : int;
+      (** candidate tuples probed at this atom: the index bucket (or
+          delta list) walked, before filtering on the other bound
+          positions *)
   matched : int;  (** substitutions surviving unification here *)
 }
 

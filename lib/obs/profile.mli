@@ -38,7 +38,10 @@ type rule_stat = {
 }
 
 type atom_stat = {
-  scanned : int;  (** candidate tuples iterated at this atom *)
+  scanned : int;
+      (** candidate tuples probed at this atom: the index bucket (or
+          delta list) walked, before filtering on the other bound
+          positions *)
   matched : int;  (** substitutions surviving unification here *)
 }
 

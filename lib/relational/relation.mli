@@ -40,10 +40,10 @@ val scan : t -> (int * Value.t) list -> Tuple.t list
     [scan r \[\]] lists all tuples. *)
 
 val scan_estimate : t -> (int * Value.t) list -> int
-(** Upper bound on [List.length (scan r binding)] obtained from the
-    index bucket of the first bound position ([cardinal] when the
-    binding is empty) — the selectivity estimate driving join
-    ordering. *)
+(** Upper bound on [List.length (scan r binding)]: the size of the
+    smallest index bucket among the bound positions — the bucket
+    {!scan} walks — or [cardinal] when the binding is empty.  The
+    selectivity estimate driving join ordering. *)
 
 val map_values : t -> (Value.t -> Value.t) -> unit
 (** Rewrite every value in place through the function (rebuilds

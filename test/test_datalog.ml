@@ -100,19 +100,17 @@ let test_eval_missing_pred () =
 
 let test_eval_delta () =
   (* delta = {e(b,c)}: matches of e(X,Y),e(Y,Z) using it *)
-  let delta pred t =
-    pred = "e"
-    && R.Tuple.equal t (R.Tuple.of_list [ R.Value.sym "b"; R.Value.sym "c" ])
+  let delta = function
+    | "e" ->
+      R.Tuple.Set.singleton
+        (R.Tuple.of_list [ R.Value.sym "b"; R.Value.sym "c" ])
+    | _ -> R.Tuple.Set.empty
   in
   let body = [ atom "e" [ v "X"; v "Y" ]; atom "e" [ v "Y"; v "Z" ] ] in
   let ds = Eval.delta_answers edge_inst ~delta body in
   (* (a,b,c) uses it as second atom, (b,c,d) as first: both qualify *)
   Alcotest.(check int) "both matches involve delta" 2 (List.length ds);
-  let none pred' t =
-    ignore pred';
-    ignore t;
-    false
-  in
+  let none _ = R.Tuple.Set.empty in
   Alcotest.(check int) "empty delta, no matches" 0
     (List.length (Eval.delta_answers edge_inst ~delta:none body))
 
@@ -1293,6 +1291,63 @@ let prop_semi_naive_equals_naive =
       let b = Chase.run ~semi_naive:false p inst in
       R.Instance.equal a.Chase.instance b.Chase.instance)
 
+(* The delta invariant: with TGDs only (no EGD merges), each rule
+   enumerates every body match of the saturated instance exactly once,
+   counted by the profiler's per-rule [matches]. *)
+let profiled f =
+  let p = Mdqa_obs.Profile.create () in
+  Mdqa_obs.Profile.install p;
+  let r = Fun.protect ~finally:Mdqa_obs.Profile.uninstall f in
+  (r, Mdqa_obs.Profile.snapshot p)
+
+let enumerated snap (t : Tgd.t) =
+  match Mdqa_obs.Profile.find_rule snap t.Tgd.name with
+  | Some r -> r.Mdqa_obs.Profile.matches
+  | None -> 0
+
+let distinct_matches inst (t : Tgd.t) =
+  List.length (Eval.answers inst t.Tgd.body)
+
+let prop_run_enumerates_once =
+  QCheck.Test.make ~name:"chase enumerates each body match once" ~count:100
+    program_arb (fun p ->
+      let r, snap =
+        profiled (fun () -> Chase.run p (Program.instance_of_facts p))
+      in
+      QCheck.assume (r.Chase.outcome = Chase.Saturated);
+      List.for_all
+        (fun t -> enumerated snap t = distinct_matches r.Chase.instance t)
+        p.Program.tgds)
+
+let prop_extend_enumerates_once =
+  QCheck.Test.make ~name:"extend enumerates each new body match once"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (p, fs) ->
+         Pretty.program_to_string p ^ "% extended with: "
+         ^ String.concat " " (List.map (Format.asprintf "%a" Atom.pp) fs))
+       QCheck.Gen.(pair gen_program (list_size (1 -- 4) gen_fact)))
+    (fun (p, extra) ->
+      let prior = Chase.run p (Program.instance_of_facts p) in
+      QCheck.assume (prior.Chase.outcome = Chase.Saturated);
+      let facts =
+        List.filter_map
+          (fun f ->
+            if R.Instance.mem prior.Chase.instance (Atom.pred f)
+               && not (Eval.holds_fact prior.Chase.instance f)
+            then Some (Atom.pred f, Atom.to_tuple f)
+            else None)
+          extra
+      in
+      let r, snap = profiled (fun () -> Chase.extend p prior ~facts) in
+      QCheck.assume (r.Chase.outcome = Chase.Saturated);
+      List.for_all
+        (fun t ->
+          enumerated snap t
+          = distinct_matches r.Chase.instance t
+            - distinct_matches prior.Chase.instance t)
+        p.Program.tgds)
+
 let prop_core_sound =
   QCheck.Test.make ~name:"core is a hom-equivalent retract" ~count:80
     program_arb (fun p ->
@@ -1337,6 +1392,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_proof_agrees_with_chase; prop_rewrite_agrees_with_chase;
       prop_chase_idempotent; prop_semi_naive_equals_naive;
+      prop_run_enumerates_once; prop_extend_enumerates_once;
       prop_core_sound; prop_goal_directed_same;
       prop_parser_total; prop_parser_pretty_roundtrip ]
 

@@ -482,6 +482,58 @@ let test_profile_attributes_hospital_rules () =
     Alcotest.(check bool) "assess phase recorded" true
       (Profile.find_phase snap "assess" <> None)
 
+(* A profiled assessment of the scaled hospital (20 patients), with
+   the context it ran under. *)
+let profiled_hospital_assessment () =
+  let module Context = Mdqa_context.Context in
+  let module Hospital = Mdqa_hospital.Hospital in
+  let g = Hospital.Gen.scale 20 in
+  let ctx = Hospital.Gen.context g in
+  let p = Profile.create () in
+  Profile.install p;
+  Fun.protect ~finally:Profile.uninstall @@ fun () ->
+  let a = Context.assess ctx ~source:(Hospital.Gen.source g) in
+  (ctx, a, Profile.snapshot p)
+
+(* The chase's delta invariant: on a saturated chase with no EGD
+   merges, each rule enumerates every body match of the final instance
+   exactly once — no match is re-enumerated in a later round. *)
+let test_profile_matches_enumerated_once () =
+  let module Context = Mdqa_context.Context in
+  let module Chase = Mdqa_datalog.Chase in
+  let module Eval = Mdqa_datalog.Eval in
+  let ctx, a, snap = profiled_hospital_assessment () in
+  let chase = a.Context.chase in
+  Alcotest.(check bool) "saturated" true
+    (chase.Chase.outcome = Chase.Saturated);
+  Alcotest.(check int) "no EGD merges" 0 chase.Chase.stats.Chase.egd_merges;
+  List.iter
+    (fun (tgd : Mdqa_datalog.Tgd.t) ->
+      let body = tgd.Mdqa_datalog.Tgd.body in
+      let distinct = List.length (Eval.answers chase.Chase.instance body) in
+      let matches =
+        match Profile.find_rule snap tgd.Mdqa_datalog.Tgd.name with
+        | Some r -> r.Profile.matches
+        | None -> 0
+      in
+      Alcotest.(check int)
+        (tgd.Mdqa_datalog.Tgd.name ^ ": matches = distinct body matches")
+        distinct matches)
+    (Context.program ctx).Mdqa_datalog.Program.tgds
+
+(* [scanned] counts the index bucket probed, before filtering on the
+   other bound positions, so an atom joined on a non-selective
+   position reads a selectivity below 1. *)
+let test_profile_selectivity_below_one () =
+  let _, _, snap = profiled_hospital_assessment () in
+  match Profile.find_atom snap ("measurements_q_gen", 2, "patient_unit") with
+  | None -> Alcotest.fail "patient_unit not attributed"
+  | Some a ->
+    Alcotest.(check bool)
+      (Printf.sprintf "selectivity %.3f < 1" (Profile.selectivity a))
+      true
+      (Profile.selectivity a < 1.0 && a.Profile.matched > 0)
+
 (* --- stats sidecar ----------------------------------------------------- *)
 
 module Stats = Mdqa_store.Stats
@@ -609,7 +661,11 @@ let suites =
       @ [ case "scope discipline" test_profile_scope_discipline;
           case "off is transparent" test_profile_off_is_transparent;
           case "hospital assessment attributes every used rule"
-            test_profile_attributes_hospital_rules ] );
+            test_profile_attributes_hospital_rules;
+          case "each body match enumerated once"
+            test_profile_matches_enumerated_once;
+          case "scanned counts the probed bucket"
+            test_profile_selectivity_below_one ] );
     ( "obs.stats",
       props [ prop_stats_roundtrip; prop_stats_corruption_detected ]
       @ [ case "record accumulates across runs" test_stats_record_accumulates;
