@@ -1769,7 +1769,7 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
     print_newline ()
   end;
   if tgds <> [] then begin
-    pf "plan (per-rule, body atoms in source order):\n";
+    pf "plan (per rule: body atoms in source order, then each plan run):\n";
     Format.printf "%a@." Explain.pp_cost
       (take top (Explain.cost snap tgds))
   end

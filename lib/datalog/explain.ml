@@ -85,6 +85,7 @@ type rule_cost = {
   matches : int;
   seconds : float;
   body : atom_cost list;
+  plans : string list;
 }
 
 let cost snap (tgds : Tgd.t list) =
@@ -108,7 +109,8 @@ let cost snap (tgds : Tgd.t list) =
           { atom = a; atom_idx = i; scanned; matched })
         tgd.Tgd.body
     in
-    { rule_name = name; fires; triggers; matches; seconds; body }
+    { rule_name = name; fires; triggers; matches; seconds; body;
+      plans = Profile.find_plans snap name }
   in
   List.map of_tgd tgds
   |> List.sort (fun a b -> compare (b.seconds, b.rule_name) (a.seconds, a.rule_name))
@@ -126,6 +128,7 @@ let pp_rule_cost ppf rc =
         ac.atom_idx Atom.pp ac.atom ac.scanned ac.matched
         (atom_selectivity ac))
     rc.body;
+  List.iter (fun p -> Format.fprintf ppf "  plan %s@," p) rc.plans;
   Format.fprintf ppf "@]"
 
 let pp_cost ppf costs =

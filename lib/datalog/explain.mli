@@ -41,9 +41,9 @@ type atom_cost = {
   atom : Atom.t;
   atom_idx : int;  (** source position in the rule body *)
   scanned : int;
-      (** candidate tuples probed at this atom: the index bucket (or
-          delta list) walked, before filtering on the other bound
-          positions *)
+      (** candidate tuples walked at this atom: the exact index bucket
+          of the positions bound when the plan reached it, the delta
+          set, or the whole relation *)
   matched : int;  (** substitutions surviving unification here *)
 }
 
@@ -54,6 +54,10 @@ type rule_cost = {
   matches : int;
   seconds : float;
   body : atom_cost list;  (** in body order *)
+  plans : string list;
+      (** the distinct join plans the rule ran under: atoms in join
+          order, each with its access path ([member], [index{p,...}]
+          on the bound positions, [delta] or [scan]) *)
 }
 
 val cost : Mdqa_obs.Profile.snapshot -> Tgd.t list -> rule_cost list
@@ -68,8 +72,9 @@ val pp_cost : Format.formatter -> rule_cost list -> unit
 (** EXPLAIN-style plan view:
     {v
     rule7_patient_unit  fires=12 triggers=40 matches=40 time=0.000412s
-      [0] PatientUnit(p, u)  scanned=120 matched=40 selectivity=0.333
-      ...
+      [0] PatientUnit(p, u)  scanned=40 matched=40 selectivity=1.000
+      [1] UnitWard(u, w)  scanned=40 matched=40 selectivity=1.000
+      plan [0] PatientUnit scan > [1] UnitWard index{0}
     v} *)
 
 val pp : Format.formatter -> tree -> unit

@@ -32,6 +32,7 @@ type t = {
   rounds : (int, round_cell) Hashtbl.t;
   queries : (string, query_cell) Hashtbl.t;
   phases : (string, phase_cell) Hashtbl.t;
+  plans : (string * string, unit) Hashtbl.t;
   mutable scope : string option;
 }
 
@@ -51,6 +52,7 @@ let create ?clock () =
     rounds = Hashtbl.create 16;
     queries = Hashtbl.create 16;
     phases = Hashtbl.create 8;
+    plans = Hashtbl.create 16;
     scope = None;
   }
 
@@ -60,6 +62,7 @@ let clear t =
   Hashtbl.reset t.rounds;
   Hashtbl.reset t.queries;
   Hashtbl.reset t.phases;
+  Hashtbl.reset t.plans;
   t.scope <- None
 
 (* ------------------------------------------------- global installation *)
@@ -112,6 +115,11 @@ let atom_visit t ~idx ~pred ~scanned ~matched =
     in
     cell.a_scanned <- cell.a_scanned + scanned;
     cell.a_matched <- cell.a_matched + matched
+
+let plan t desc =
+  match t.scope with
+  | None -> ()
+  | Some scope -> Hashtbl.replace t.plans (scope, desc) ()
 
 let with_round n f =
   match !current with
@@ -213,9 +221,11 @@ type snapshot = {
   rounds : (int * round_stat) list;
   queries : (string * query_stat) list;
   phases : (string * phase_stat) list;
+  plans : (string * string list) list;
 }
 
-let empty = { rules = []; atoms = []; rounds = []; queries = []; phases = [] }
+let empty =
+  { rules = []; atoms = []; rounds = []; queries = []; phases = []; plans = [] }
 
 let sorted_bindings cmp tbl f =
   Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
@@ -241,6 +251,14 @@ let snapshot (t : t) =
     phases =
       sorted_bindings String.compare t.phases (fun c ->
           { calls = c.p_calls; phase_seconds = c.p_seconds });
+    plans =
+      List.fold_right
+        (fun (scope, desc) acc ->
+          match acc with
+          | (s, l) :: rest when s = scope -> (s, desc :: l) :: rest
+          | _ -> (scope, [ desc ]) :: acc)
+        (List.map fst (sorted_bindings compare t.plans Fun.id))
+        [];
   }
 
 (* Merge two sorted association lists, combining values under equal
@@ -291,12 +309,17 @@ let merge a b =
           { calls = x.calls + y.calls;
             phase_seconds = x.phase_seconds +. y.phase_seconds })
         a.phases b.phases;
+    plans =
+      merge_assoc String.compare
+        (fun x y -> List.sort_uniq String.compare (x @ y))
+        a.plans b.plans;
   }
 
 let find_rule s name = List.assoc_opt name s.rules
 let find_atom s key = List.assoc_opt key s.atoms
 let find_query s name = List.assoc_opt name s.queries
 let find_phase s name = List.assoc_opt name s.phases
+let find_plans s name = Option.value ~default:[] (List.assoc_opt name s.plans)
 
 let selectivity a =
   if a.scanned = 0 then 0. else float_of_int a.matched /. float_of_int a.scanned
@@ -361,7 +384,12 @@ let to_json s =
         Printf.sprintf "{\"phase\":\"%s\",\"calls\":%d,\"seconds\":%s}"
           (json_escape name) p.calls
           (json_float p.phase_seconds))
+  and plans =
+    arr s.plans (fun (scope, l) ->
+        Printf.sprintf "{\"rule\":\"%s\",\"plans\":%s}" (json_escape scope)
+          (arr l (fun d -> "\"" ^ json_escape d ^ "\"")))
   in
   Printf.sprintf
-    "{\"rules\":%s,\"atoms\":%s,\"rounds\":%s,\"queries\":%s,\"phases\":%s}"
-    rules atoms rounds queries phases
+    "{\"rules\":%s,\"atoms\":%s,\"rounds\":%s,\"queries\":%s,\
+     \"phases\":%s,\"plans\":%s}"
+    rules atoms rounds queries phases plans

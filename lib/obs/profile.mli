@@ -39,9 +39,9 @@ type rule_stat = {
 
 type atom_stat = {
   scanned : int;
-      (** candidate tuples probed at this atom: the index bucket (or
-          delta list) walked, before filtering on the other bound
-          positions *)
+      (** candidate tuples walked at this atom: the exact index bucket
+          of its bound positions, the delta set, or the whole relation
+          (a membership test walks at most one) *)
   matched : int;  (** substitutions surviving unification here *)
 }
 
@@ -70,6 +70,12 @@ type snapshot = {
   rounds : (int * round_stat) list;  (** keyed by round number, sorted *)
   queries : (string * query_stat) list;  (** sorted by query name *)
   phases : (string * phase_stat) list;  (** sorted by phase name *)
+  plans : (string * string list) list;
+      (** per rule or query name, the distinct join plans it ran under
+          (sorted); each plan lists the body atoms in join order with
+          their access paths, e.g.
+          [\[0\] r delta > \[1\] s index{0} > \[2\] t member].  Per
+          run only: the statistics sidecar does not keep them. *)
 }
 
 (** {1 Collector lifecycle} *)
@@ -119,6 +125,10 @@ val atom_visit : t -> idx:int -> pred:string -> scanned:int -> matched:int -> un
 (** Credit one visit of body atom [idx] ([pred]) under the current
     scope; no-op when no scope is active. *)
 
+val plan : t -> string -> unit
+(** Record the plan description of one body evaluation under the
+    current scope; no-op when no scope is active. *)
+
 val with_round : int -> (unit -> 'a) -> 'a
 (** Time a chase round and sample [Gc.quick_stat] deltas at its
     boundaries, keyed by round number. *)
@@ -137,8 +147,8 @@ val snapshot : t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise combination: counters and seconds add, [heap_words]
-    takes the max.  Associative and commutative, so snapshots can be
-    folded in any order. *)
+    takes the max, plan sets unite.  Associative and commutative, so
+    snapshots can be folded in any order. *)
 
 val empty : snapshot
 
@@ -146,6 +156,8 @@ val find_rule : snapshot -> string -> rule_stat option
 val find_atom : snapshot -> string * int * string -> atom_stat option
 val find_query : snapshot -> string -> query_stat option
 val find_phase : snapshot -> string -> phase_stat option
+val find_plans : snapshot -> string -> string list
+(** [\[\]] when the name ran no plan. *)
 
 val selectivity : atom_stat -> float
 (** [matched / scanned] ([0.] when nothing was scanned). *)
@@ -155,5 +167,5 @@ val total_query_seconds : snapshot -> float
 
 val to_json : snapshot -> string
 (** Self-contained JSON object with ["rules"], ["atoms"] (each row
-    carrying a derived ["selectivity"]), ["rounds"], ["queries"] and
-    ["phases"] arrays, each sorted by key. *)
+    carrying a derived ["selectivity"]), ["rounds"], ["queries"],
+    ["phases"] and ["plans"] arrays, each sorted by key. *)

@@ -73,10 +73,9 @@ let write_all ?deadline fd s =
   in
   go 0
 
-let read_available fd ~max =
-  let buf = Bytes.create max in
+let read_available fd buf =
   let rec go () =
-    match Unix.read fd buf 0 max with
+    match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> `Eof
     | n -> `Data (Bytes.sub_string buf 0 n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()

@@ -33,13 +33,16 @@ val write_all :
     timeout or any other socket error is an [Error] — never an
     exception. *)
 
-val read_available : Unix.file_descr -> max:int -> [
-  | `Data of string  (** up to [max] bytes that were ready *)
+val read_available : Unix.file_descr -> Bytes.t -> [
+  | `Data of string  (** up to [Bytes.length buf] bytes that were ready *)
   | `Eof  (** orderly shutdown by the peer *)
   | `Nothing  (** EAGAIN: nothing buffered right now *)
   | `Error of string  (** connection reset or other socket failure *)
 ]
-(** One nonblocking read.  EINTR retries internally. *)
+(** One nonblocking read into the caller's scratch buffer [buf], whose
+    prefix is copied out as [`Data].  A reading loop allocates its
+    buffer once and passes it to every call.  EINTR retries
+    internally. *)
 
 val read_exact :
   Unix.file_descr ->

@@ -61,6 +61,7 @@ type state = {
   cfg : config;
   svc : Service.t;
   mutable conns : conn list;
+  rbuf : Bytes.t;  (** scratch buffer for every socket read *)
   queue : (conn * Protocol.request * string) Admission.t;
       (** the raw line rides along: a dispatched request crosses the
           worker pipe verbatim *)
@@ -500,7 +501,7 @@ let rec drain_lines st conn =
       if conn.alive then drain_lines st conn)
 
 let feed st conn =
-  match Fdio.read_available conn.fd ~max:65536 with
+  match Fdio.read_available conn.fd st.rbuf with
   | `Nothing -> ()
   | `Eof | `Error _ -> close_conn conn
   | `Data chunk ->
@@ -776,6 +777,7 @@ let run ?follower cfg svc =
     { cfg;
       svc;
       conns = [];
+      rbuf = Bytes.create 65536;
       queue = Admission.create ~capacity:cfg.max_queue;
       sup = None;
       source =

@@ -18,9 +18,9 @@ module Frame = struct
     Bytes.blit_string payload 0 b 4 n;
     Bytes.to_string b
 
-  type reader = { buf : Buffer.t }
+  type reader = { buf : Buffer.t; chunk : Bytes.t }
 
-  let reader () = { buf = Buffer.create 256 }
+  let reader () = { buf = Buffer.create 256; chunk = Bytes.create 65536 }
 
   let decoded_length s =
     let v = Int32.to_int (Bytes.get_int32_le (Bytes.of_string s) 0) in
@@ -47,7 +47,7 @@ module Frame = struct
     go []
 
   let poll r fd =
-    match Fdio.read_available fd ~max:65536 with
+    match Fdio.read_available fd r.chunk with
     | `Nothing -> `Nothing
     | `Eof -> `Eof
     | `Error e -> `Error e

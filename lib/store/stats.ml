@@ -122,7 +122,7 @@ let decode_payload payload : Profile.snapshot =
   in
   if not (Binio.at_end r) then
     raise (Binio.Corrupt { offset = Binio.pos r; reason = "trailing bytes" });
-  { Profile.rules; atoms; rounds; queries; phases }
+  { Profile.rules; atoms; rounds; queries; phases; plans = [] }
 
 let read ~path =
   match

@@ -521,18 +521,94 @@ let test_profile_matches_enumerated_once () =
         distinct matches)
     (Context.program ctx).Mdqa_datalog.Program.tgds
 
-(* [scanned] counts the index bucket probed, before filtering on the
-   other bound positions, so an atom joined on a non-selective
-   position reads a selectivity below 1. *)
-let test_profile_selectivity_below_one () =
+(* [scanned] counts the candidates walked: the exact bucket of the
+   composite index on the bound positions (or the delta set).  So an
+   atom joined on its bound positions reads selectivity 1, and only a
+   filter no index expresses brings it below 1: a repeated variable,
+   or the semi-naive exclusion of delta facts. *)
+let test_profile_scanned_is_bucket () =
+  let module R = Mdqa_relational in
+  let module Eval = Mdqa_datalog.Eval in
+  let module Atom = Mdqa_datalog.Atom in
+  let module Term = Mdqa_datalog.Term in
   let _, _, snap = profiled_hospital_assessment () in
-  match Profile.find_atom snap ("measurements_q_gen", 2, "patient_unit") with
-  | None -> Alcotest.fail "patient_unit not attributed"
-  | Some a ->
-    Alcotest.(check bool)
-      (Printf.sprintf "selectivity %.3f < 1" (Profile.selectivity a))
-      true
-      (Profile.selectivity a < 1.0 && a.Profile.matched > 0)
+  (match Profile.find_atom snap ("measurements_q_gen", 2, "patient_unit") with
+   | None -> Alcotest.fail "patient_unit not attributed"
+   | Some a ->
+     Alcotest.(check bool) "patient_unit matched" true (a.Profile.matched > 0);
+     Alcotest.(check int) "patient_unit: exact bucket, selectivity 1"
+       a.Profile.scanned a.Profile.matched);
+  let sym = R.Value.sym and v = Term.var in
+  let inst = R.Instance.create () in
+  List.iter
+    (fun (p, rows) ->
+      ignore
+        (R.Instance.declare inst
+           (R.Rel_schema.of_names p
+              (List.init (List.length (List.hd rows)) (Printf.sprintf "c%d"))));
+      List.iter
+        (fun row ->
+          ignore
+            (R.Instance.add_tuple inst p (R.Tuple.of_list (List.map sym row))))
+        rows)
+    [ ("r", [ [ "a"; "a" ]; [ "a"; "b" ]; [ "b"; "b" ]; [ "c"; "a" ] ]);
+      ("s", [ [ "a" ]; [ "b" ] ]) ];
+  let profiled name f =
+    let p = Profile.create () in
+    Profile.install p;
+    Fun.protect ~finally:Profile.uninstall (fun () ->
+        ignore (Profile.with_scope p name f));
+    Profile.snapshot p
+  in
+  let atom snap name i pred =
+    match Profile.find_atom snap (name, i, pred) with
+    | Some a -> (a.Profile.scanned, a.Profile.matched)
+    | None -> Alcotest.failf "%s[%d] not attributed" name i
+  in
+  (* s(Y) binds Y, then r(Y, Z) walks r's bucket for each Y. *)
+  let body = [ Atom.make "s" [ v "Y" ]; Atom.make "r" [ v "Y"; v "Z" ] ] in
+  let snap = profiled "join" (fun () -> Eval.answers inst body) in
+  let bucket y =
+    List.length (R.Relation.scan (R.Instance.get inst "r") [ (0, sym y) ])
+  in
+  Alcotest.(check (pair int int)) "r: scanned = probed buckets = matched"
+    (bucket "a" + bucket "b", bucket "a" + bucket "b")
+    (atom snap "join" 1 "r");
+  Alcotest.(check (list string)) "join plan"
+    [ "[0] s scan > [1] r index{0}" ]
+    (Profile.find_plans snap "join");
+  (* A constant compared for equality drives the index. *)
+  let snap =
+    profiled "pushdown" (fun () ->
+        Eval.answers
+          ~cmps:[ Atom.Cmp.make Atom.Cmp.Eq (Term.sym "a") (v "Y") ]
+          inst [ Atom.make "r" [ v "Y"; v "Z" ] ])
+  in
+  Alcotest.(check (list string)) "Y = a probes r's index on Y"
+    [ "[0] r index{0}" ]
+    (Profile.find_plans snap "pushdown");
+  Alcotest.(check (pair int int)) "pushdown walks one bucket" (2, 2)
+    (atom snap "pushdown" 0 "r");
+  let snap =
+    profiled "diag" (fun () ->
+        Eval.answers inst [ Atom.make "r" [ v "X"; v "X" ] ])
+  in
+  Alcotest.(check (pair int int)) "r(X, X): 4 scanned, 2 on the diagonal"
+    (4, 2) (atom snap "diag" 0 "r");
+  let delta = function
+    | "r" -> R.Tuple.Set.singleton (R.Tuple.of_list [ sym "a"; sym "b" ])
+    | _ -> R.Tuple.Set.singleton (R.Tuple.of_list [ sym "b" ])
+  in
+  let snap =
+    profiled "delta" (fun () ->
+        Eval.delta_answers inst ~delta
+          [ Atom.make "r" [ v "X"; v "Y" ]; Atom.make "s" [ v "Y" ] ])
+  in
+  let scanned, matched = atom snap "delta" 0 "r" in
+  Alcotest.(check bool)
+    (Printf.sprintf "delta exclusion: %d of %d kept" matched scanned)
+    true
+    (matched > 0 && matched < scanned)
 
 (* --- stats sidecar ----------------------------------------------------- *)
 
@@ -665,7 +741,7 @@ let suites =
           case "each body match enumerated once"
             test_profile_matches_enumerated_once;
           case "scanned counts the probed bucket"
-            test_profile_selectivity_below_one ] );
+            test_profile_scanned_is_bucket ] );
     ( "obs.stats",
       props [ prop_stats_roundtrip; prop_stats_corruption_detected ]
       @ [ case "record accumulates across runs" test_stats_record_accumulates;
