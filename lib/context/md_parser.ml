@@ -20,7 +20,9 @@ exception Error of { line : int; message : string }
 (* Intermediate, pre-assembly representation of the declarations.
    Every item carries the position of its declaration, so each
    validation failure is reported at its real source line — never at
-   line 0. *)
+   line 0.  The parser conses each item onto its list and reverses
+   every list once when its block ends, so the lists below are in
+   declaration order once [collect] returns. *)
 type dim_decl = {
   dim_name : string;
   dim_pos : Lexer.pos;
@@ -110,7 +112,8 @@ let parse_dimension st ?file diags decls ~start =
          Raw.advance st;
          let parents = comma_list st (fun st -> name_token st "a category") in
          d.cat_edges <-
-           d.cat_edges @ List.map (fun p -> (child, p, pos)) parents
+           List.fold_left (fun acc p -> (child, p, pos) :: acc) d.cat_edges
+             parents
        | _ -> d.standalone <- (child, pos) :: d.standalone);
       Raw.expect st Lexer.PERIOD "'.'"
     | Lexer.IDENT "member", pos ->
@@ -128,7 +131,8 @@ let parse_dimension st ?file diags decls ~start =
        | Lexer.ARROW, _ ->
          Raw.advance st;
          let parents = comma_list st (fun st -> name_token st "a member") in
-         d.links <- d.links @ List.map (fun p -> (m, p, pos)) parents
+         d.links <-
+           List.fold_left (fun acc p -> (m, p, pos) :: acc) d.links parents
        | _ -> ());
       Raw.expect st Lexer.PERIOD "'.'"
     | t, _ ->
@@ -153,7 +157,11 @@ let parse_dimension st ?file diags decls ~start =
       body ()
   in
   body ();
-  decls.dims <- decls.dims @ [ d ]
+  d.cat_edges <- List.rev d.cat_edges;
+  d.standalone <- List.rev d.standalone;
+  d.dmembers <- List.rev d.dmembers;
+  d.links <- List.rev d.links;
+  decls.dims <- d :: decls.dims
 
 let parse_relation st decls ~kind ~start =
   Raw.advance st (* 'relation' | 'source' | 'external' *);
@@ -195,9 +203,9 @@ let parse_relation st decls ~kind ~start =
              message = m })
   in
   match kind with
-  | `Source -> decls.sources <- decls.sources @ [ (schema, start) ]
-  | `External -> decls.externals <- decls.externals @ [ (schema, start) ]
-  | `Relation -> decls.relations <- decls.relations @ [ (schema, start) ]
+  | `Source -> decls.sources <- (schema, start) :: decls.sources
+  | `External -> decls.externals <- (schema, start) :: decls.externals
+  | `Relation -> decls.relations <- (schema, start) :: decls.relations
 
 let parse_wiring st decls ~quality ~start =
   Raw.advance st (* 'map' | 'quality' *);
@@ -205,8 +213,8 @@ let parse_wiring st decls ~quality ~start =
   Raw.expect st Lexer.ARROW "'->'";
   let target = name_token st "a predicate name" in
   Raw.expect st Lexer.PERIOD "'.'";
-  if quality then decls.qualities <- decls.qualities @ [ (from, target, start) ]
-  else decls.maps <- decls.maps @ [ (from, target, start) ]
+  if quality then decls.qualities <- (from, target, start) :: decls.qualities
+  else decls.maps <- (from, target, start) :: decls.maps
 
 (* Collect every declaration, recovering at statement boundaries so
    one pass reports all syntax errors. *)
@@ -231,11 +239,11 @@ let collect ?file diags st =
            fail st (Printf.sprintf "'%s' is only allowed inside a dimension" k)
          | None -> (
            match Raw.statement st with
-           | Raw.S_fact f -> decls.facts <- decls.facts @ [ (f, start) ]
-           | Raw.S_tgd t -> decls.tgds <- decls.tgds @ [ (t, start) ]
-           | Raw.S_egd e -> decls.egds <- decls.egds @ [ (e, start) ]
-           | Raw.S_nc n -> decls.ncs <- decls.ncs @ [ (n, start) ]
-           | Raw.S_query q -> decls.queries <- decls.queries @ [ (q, start) ])
+           | Raw.S_fact f -> decls.facts <- (f, start) :: decls.facts
+           | Raw.S_tgd t -> decls.tgds <- (t, start) :: decls.tgds
+           | Raw.S_egd e -> decls.egds <- (e, start) :: decls.egds
+           | Raw.S_nc n -> decls.ncs <- (n, start) :: decls.ncs
+           | Raw.S_query q -> decls.queries <- (q, start) :: decls.queries)
        with Parser.Error { code; _ } as pe ->
          record_parse_error ?file diags pe;
          if Raw.pos st = start then Raw.advance st;
@@ -254,7 +262,17 @@ let collect ?file diags st =
     end
   in
   go ();
-  decls
+  { dims = List.rev decls.dims;
+    relations = List.rev decls.relations;
+    sources = List.rev decls.sources;
+    externals = List.rev decls.externals;
+    maps = List.rev decls.maps;
+    qualities = List.rev decls.qualities;
+    facts = List.rev decls.facts;
+    tgds = List.rev decls.tgds;
+    egds = List.rev decls.egds;
+    ncs = List.rev decls.ncs;
+    queries = List.rev decls.queries }
 
 (* --- semantic validation ------------------------------------------- *)
 
@@ -274,6 +292,8 @@ let warn ?file diags (pos : Lexer.pos) code fmt =
 
 let validate_dimension ?file diags (d : dim_decl) =
   let ok = ref true in
+  (* member -> (category, position) of its first declaration *)
+  let seen = Hashtbl.create 16 in
   let schema =
     let edges =
       List.map (fun (c, p, _) -> (c, p)) d.cat_edges
@@ -283,7 +303,7 @@ let validate_dimension ?file diags (d : dim_decl) =
               List.exists (fun (a, b, _) -> a = c || b = c) d.cat_edges
             then None
             else Some (c, Dim_schema.all))
-          (List.rev d.standalone)
+          d.standalone
     in
     match Dim_schema.make ~name:d.dim_name ~edges with
     | s -> Some s
@@ -296,7 +316,6 @@ let validate_dimension ?file diags (d : dim_decl) =
    | None -> ()
    | Some schema ->
      (* members: known categories, no duplicates *)
-     let seen = Hashtbl.create 16 in
      List.iter
        (fun (m, cat, pos) ->
          if not (Dim_schema.mem_category schema cat) then begin
@@ -305,13 +324,13 @@ let validate_dimension ?file diags (d : dim_decl) =
            ok := false
          end;
          (match Hashtbl.find_opt seen m with
-          | Some other_cat ->
+          | Some (other_cat, _) ->
             err ?file diags pos "E016"
               "member %s already declared in category %s of dimension %s" m
               other_cat d.dim_name;
             ok := false
-          | None -> Hashtbl.add seen m cat))
-       (List.rev d.dmembers);
+          | None -> Hashtbl.add seen m (cat, pos)))
+       d.dmembers;
      (* links: known members, along a schema edge *)
      List.iter
        (fun (child, parent, pos) ->
@@ -328,7 +347,7 @@ let validate_dimension ?file diags (d : dim_decl) =
                d.dim_name;
              ok := false
            end
-         | Some cc, Some pc ->
+         | Some (cc, _), Some (pc, _) ->
            if not (List.mem pc (Dim_schema.parents schema cc)) then begin
              err ?file diags pos "E017"
                "link %s -> %s does not follow a schema edge (%s -> %s) in \
@@ -349,7 +368,7 @@ let validate_dimension ?file diags (d : dim_decl) =
               let cur = Option.value ~default:[] (List.assoc_opt cat acc) in
               (cat, m :: cur) :: List.remove_assoc cat acc)
             []
-            d.dmembers
+            (List.rev d.dmembers)
         in
         match
           Dim_instance.make schema ~members:members_by_cat
@@ -366,10 +385,8 @@ let validate_dimension ?file diags (d : dim_decl) =
    | None -> ()
    | Some i ->
      let pos_of_member m =
-       match
-         List.find_opt (fun (n, _, _) -> String.equal n m) d.dmembers
-       with
-       | Some (_, _, pos) -> pos
+       match Hashtbl.find_opt seen m with
+       | Some (_, pos) -> pos
        | None -> d.dim_pos
      in
      List.iter
@@ -479,19 +496,12 @@ let validate ?file diags (decls : decls) =
         None
     else None
   in
-  (* 4. facts: declared predicates only *)
-  let find_schema n =
-    List.find_map
-      (fun (s, _) ->
-        if String.equal (R.Rel_schema.name s) n then Some s else None)
-      (decls.relations @ decls.sources @ decls.externals)
-  in
+  (* 4. facts: declared predicates only ([decl_pos] holds every
+     relation, source and external name) *)
   List.iter
     (fun (f, pos) ->
       let p = Atom.pred f in
-      match find_schema p with
-      | Some _ -> ()
-      | None ->
+      if not (Hashtbl.mem decl_pos p) then
         err ?file diags pos "E013"
           "fact over undeclared predicate %s (declare it with 'relation', \
            'source' or 'external')"
@@ -679,17 +689,16 @@ let build (decls : decls) (arts : artifacts) =
       (fun (d : dim_decl) -> Smap.find d.dim_name arts.dim_instances)
       decls.dims
   in
-  let relation_named n =
-    List.find_opt
-      (fun (s, _) -> R.Rel_schema.name s = n)
-      decls.relations
+  (* predicate -> where its facts go: the first declaration of the
+     name, relations before sources before externals *)
+  let target = Hashtbl.create 64 in
+  let first s v =
+    let n = R.Rel_schema.name s in
+    if not (Hashtbl.mem target n) then Hashtbl.add target n v
   in
-  let source_named n =
-    List.find_opt (fun (s, _) -> R.Rel_schema.name s = n) decls.sources
-  in
-  let external_named n =
-    List.find_opt (fun (s, _) -> R.Rel_schema.name s = n) decls.externals
-  in
+  List.iter (fun (s, _) -> first s (`Relation s)) decls.relations;
+  List.iter (fun (s, _) -> first s `Source) decls.sources;
+  List.iter (fun (s, _) -> first s `External) decls.externals;
   (* Facts. *)
   let data = R.Instance.create () in
   let source = R.Instance.create () in
@@ -703,15 +712,15 @@ let build (decls : decls) (arts : artifacts) =
   List.iter
     (fun (f, _) ->
       let p = Atom.pred f in
-      match relation_named p, source_named p, external_named p with
-      | Some (schema, _), _, _ ->
+      match Hashtbl.find_opt target p with
+      | Some (`Relation schema) ->
         ignore (R.Instance.declare data schema);
         ignore (R.Instance.add_tuple data p (Atom.to_tuple f))
-      | None, Some _, _ ->
+      | Some `Source ->
         ignore (R.Instance.add_tuple source p (Atom.to_tuple f))
-      | None, None, Some _ ->
+      | Some `External ->
         ignore (R.Instance.add_tuple externals p (Atom.to_tuple f))
-      | None, None, None ->
+      | None ->
         invalid_arg
           (Printf.sprintf "fact over undeclared predicate %s" p))
     decls.facts;
@@ -744,6 +753,13 @@ let build (decls : decls) (arts : artifacts) =
   in
   { ontology; context; source; queries = List.map fst decls.queries }
 
+module Fact_tbl = Hashtbl.Make (struct
+  type t = string * R.Tuple.t
+
+  let equal (p, t) (q, u) = String.equal p q && R.Tuple.equal t u
+  let hash (p, t) = Hashtbl.hash (Hashtbl.hash p, R.Tuple.hash t)
+end)
+
 (* Post-build advisory analyses: the weak-stickiness certificate and
    the closed-world referential check, as warnings/hints. *)
 let advisory ?file diags (decls : decls) (p : parsed) =
@@ -754,17 +770,23 @@ let advisory ?file diags (decls : decls) (p : parsed) =
       decls.tgds
   in
   Validate.check_certificate ?file diags statements program;
+  (* fact -> position of its first statement, built on the first
+     violation *)
+  let fact_pos =
+    lazy
+      (let tbl = Fact_tbl.create 1024 in
+       List.iter
+         (fun (f, pos) ->
+           let key = (Atom.pred f, Atom.to_tuple f) in
+           if not (Fact_tbl.mem tbl key) then Fact_tbl.add tbl key pos)
+         decls.facts;
+       tbl)
+  in
   List.iter
     (fun (v : Md_ontology.referential_violation) ->
       let pos =
-        List.find_map
-          (fun (f, pos) ->
-            if
-              String.equal (Atom.pred f) v.Md_ontology.relation
-              && R.Tuple.equal (Atom.to_tuple f) v.Md_ontology.tuple
-            then Some pos
-            else None)
-          decls.facts
+        Fact_tbl.find_opt (Lazy.force fact_pos)
+          (v.Md_ontology.relation, v.Md_ontology.tuple)
       in
       let line = Option.map (fun p -> p.Lexer.line) pos in
       let col = Option.map (fun p -> p.Lexer.col) pos in

@@ -158,29 +158,14 @@ let pp_summary ppf ds =
     Format.fprintf ppf "%s" (String.concat ", " parts)
   end
 
-(* Minimal JSON emission — no external dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Mdqa_obs.Json
 
 let to_json ?file ds =
   let buf = Buffer.create 512 in
   let n sev = List.length (List.filter (fun d -> d.severity = sev) ds) in
   Buffer.add_char buf '{';
   (match file with
-   | Some f -> Buffer.add_string buf (Printf.sprintf "\"file\":\"%s\"," (json_escape f))
+   | Some f -> Buffer.add_string buf (Printf.sprintf "\"file\":\"%s\"," (Json.escape f))
    | None -> ());
   Buffer.add_string buf
     (Printf.sprintf "\"errors\":%d,\"warnings\":%d,\"hints\":%d,"
@@ -192,20 +177,20 @@ let to_json ?file ds =
       Buffer.add_char buf '{';
       Buffer.add_string buf
         (Printf.sprintf "\"severity\":\"%s\",\"code\":\"%s\","
-           (severity_to_string d.severity) (json_escape d.code));
+           (severity_to_string d.severity) (Json.escape d.code));
       (match describe d.code with
        | Some m ->
          Buffer.add_string buf
-           (Printf.sprintf "\"mnemonic\":\"%s\"," (json_escape m))
+           (Printf.sprintf "\"mnemonic\":\"%s\"," (Json.escape m))
        | None -> ());
       (match d.span.file with
        | Some f ->
          Buffer.add_string buf
-           (Printf.sprintf "\"file\":\"%s\"," (json_escape f))
+           (Printf.sprintf "\"file\":\"%s\"," (Json.escape f))
        | None -> ());
       Buffer.add_string buf
         (Printf.sprintf "\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-           d.span.line d.span.col (json_escape d.message)))
+           d.span.line d.span.col (Json.escape d.message)))
     ds;
   Buffer.add_string buf "]}";
   Buffer.contents buf

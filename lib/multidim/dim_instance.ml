@@ -4,15 +4,53 @@ module Sset = Set.Make (String)
 
 let all_member = Value.sym "all"
 
+(* One member's row of the roll-up table. *)
+type rollups = {
+  parent_cats : Sset.t;  (* categories of the member's immediate parents *)
+  ups : Sset.t Smap.t;  (* ancestor category -> members rolled up to *)
+}
+
 type t = {
   schema : Dim_schema.t;
   by_category : Sset.t Smap.t;  (* category -> member names *)
   category_of : string Smap.t;  (* member name -> category *)
   up : Sset.t Smap.t;  (* member -> parent members *)
   down : Sset.t Smap.t;  (* member -> child members *)
+  rollups : (string, rollups) Hashtbl.t Lazy.t;  (* member -> its row *)
 }
 
 let find_set m k = Option.value ~default:Sset.empty (Smap.find_opt k m)
+
+(* The roll-up table, bottom-up in one pass: a member's set in
+   category c is the union of its parents' sets, plus the parents
+   themselves that are in c.  Links follow the acyclic schema, so the
+   memoised recursion is as deep as the hierarchy and visits each
+   link once; a single-parent row shares its parent's map. *)
+let rollup_table category_of up =
+  let table = Hashtbl.create (Smap.cardinal category_of) in
+  let rec row m =
+    match Hashtbl.find_opt table m with
+    | Some r -> r
+    | None ->
+      let r =
+        Sset.fold
+          (fun p acc ->
+            let pc = Smap.find p category_of in
+            let ups =
+              Smap.union
+                (fun _ a b -> Some (Sset.union a b))
+                acc.ups (row p).ups
+            in
+            { parent_cats = Sset.add pc acc.parent_cats;
+              ups = Smap.add pc (Sset.add p (find_set ups pc)) ups })
+          (find_set up m)
+          { parent_cats = Sset.empty; ups = Smap.empty }
+      in
+      Hashtbl.add table m r;
+      r
+  in
+  Smap.iter (fun m _ -> ignore (row m)) category_of;
+  table
 
 let make schema ~members ~links =
   let dim = Dim_schema.name schema in
@@ -77,7 +115,8 @@ let make schema ~members ~links =
         else acc)
       category_of (up, down)
   in
-  { schema; by_category; category_of; up; down }
+  { schema; by_category; category_of; up; down;
+    rollups = lazy (rollup_table category_of up) }
 
 let schema t = t.schema
 
@@ -119,63 +158,60 @@ let transitive step t v ~to_category =
 let rollup t v ~to_category = transitive member_parents t v ~to_category
 let drilldown t v ~to_category = transitive member_children t v ~to_category
 
-let is_strict t =
-  Smap.for_all
-    (fun member cat ->
-      if String.equal cat Dim_schema.all then true
-      else
-        List.for_all
-          (fun anc ->
-            List.length (rollup t (Value.sym member) ~to_category:anc) <= 1)
-          (Dim_schema.ancestors t.schema cat))
-    t.category_of
+let row t v =
+  match name_of v with
+  | None -> None
+  | Some n -> Hashtbl.find_opt (Lazy.force t.rollups) n
 
-let is_homogeneous t =
-  Smap.for_all
-    (fun member cat ->
-      if String.equal cat Dim_schema.all then true
-      else
-        List.for_all
-          (fun pcat ->
-            List.exists
-              (fun p -> category_of t p = Some pcat)
-              (member_parents t (Value.sym member)))
-          (Dim_schema.parents t.schema cat))
-    t.category_of
+let rolled_up t v ~to_category =
+  match row t v with
+  | None -> []
+  | Some r -> List.map Value.sym (Sset.elements (find_set r.ups to_category))
 
-(* Witness-producing variants of [is_strict] / [is_homogeneous], for
-   diagnostics: which member breaks the property, and how. *)
-let strictness_violations t =
+let has_parent_in t v ~category =
+  match row t v with
+  | None -> false
+  | Some r -> Sset.mem category r.parent_cats
+
+(* [f member row relatives] over every member but [all], in member
+   order; [relatives] lists the member category's ancestors or parents,
+   computed once per category. *)
+let fold_rows relatives f t init =
+  let rows = Lazy.force t.rollups in
+  let per_cat = Smap.mapi (fun cat _ -> relatives t.schema cat) t.by_category in
   Smap.fold
     (fun member cat acc ->
       if String.equal cat Dim_schema.all then acc
-      else
-        List.fold_left
-          (fun acc anc ->
-            let ups = rollup t (Value.sym member) ~to_category:anc in
-            if List.length ups > 1 then (member, anc, ups) :: acc else acc)
-          acc
-          (Dim_schema.ancestors t.schema cat))
-    t.category_of []
+      else f member (Hashtbl.find rows member) (Smap.find cat per_cat) acc)
+    t.category_of init
+
+(* Witnesses of non-strictness and non-homogeneity, for diagnostics:
+   which member breaks the property, and how. *)
+let strictness_violations t =
+  fold_rows Dim_schema.ancestors
+    (fun member r ancs acc ->
+      List.fold_left
+        (fun acc anc ->
+          let ups = find_set r.ups anc in
+          if Sset.cardinal ups > 1 then
+            (member, anc, List.map Value.sym (Sset.elements ups)) :: acc
+          else acc)
+        acc ancs)
+    t []
   |> List.rev
 
 let homogeneity_violations t =
-  Smap.fold
-    (fun member cat acc ->
-      if String.equal cat Dim_schema.all then acc
-      else
-        List.fold_left
-          (fun acc pcat ->
-            if
-              List.exists
-                (fun p -> category_of t p = Some pcat)
-                (member_parents t (Value.sym member))
-            then acc
-            else (member, pcat) :: acc)
-          acc
-          (Dim_schema.parents t.schema cat))
-    t.category_of []
+  fold_rows Dim_schema.parents
+    (fun member r pcats acc ->
+      List.fold_left
+        (fun acc pcat ->
+          if Sset.mem pcat r.parent_cats then acc else (member, pcat) :: acc)
+        acc pcats)
+    t []
   |> List.rev
+
+let is_strict t = strictness_violations t = []
+let is_homogeneous t = homogeneity_violations t = []
 
 let size t = Smap.cardinal t.category_of - 1
 

@@ -54,8 +54,22 @@ val drilldown :
   Mdqa_relational.Value.t list
 (** Descendants of the member within [to_category]. *)
 
+val rolled_up :
+  t -> Mdqa_relational.Value.t -> to_category:string ->
+  Mdqa_relational.Value.t list
+(** The same answer as {!rollup}, read from the instance's roll-up
+    table: every member's ancestors in every category, built once,
+    bottom-up, on first use.  For checks over all members; {!rollup}
+    walks one member's links and builds nothing. *)
+
+val has_parent_in : t -> Mdqa_relational.Value.t -> category:string -> bool
+(** Whether the member has an immediate parent in [category] (read from
+    the roll-up table). *)
+
 val is_strict : t -> bool
 val is_homogeneous : t -> bool
+(** Both read the roll-up table: linear in the members times the
+    ancestor categories. *)
 
 val strictness_violations :
   t -> (string * string * Mdqa_relational.Value.t list) list

@@ -25,11 +25,13 @@ let diagnose inst =
   List.iter
     (fun cat ->
       if cat <> Dim_schema.all then
+        let ancestors = Dim_schema.ancestors schema cat
+        and parents = Dim_schema.parents schema cat in
         List.iter
           (fun m ->
             List.iter
               (fun anc ->
-                let ups = Dim_instance.rollup inst m ~to_category:anc in
+                let ups = Dim_instance.rolled_up inst m ~to_category:anc in
                 if List.length ups > 1 then
                   violations :=
                     Non_strict
@@ -38,20 +40,15 @@ let diagnose inst =
                         ancestor_category = anc;
                         ancestors = ups }
                     :: !violations)
-              (Dim_schema.ancestors schema cat);
+              ancestors;
             List.iter
               (fun pcat ->
-                let covered =
-                  List.exists
-                    (fun p -> Dim_instance.category_of inst p = Some pcat)
-                    (Dim_instance.member_parents inst m)
-                in
-                if not covered then
+                if not (Dim_instance.has_parent_in inst m ~category:pcat) then
                   violations :=
                     Non_covering
                       { member = m; category = cat; parent_category = pcat }
                     :: !violations)
-              (Dim_schema.parents schema cat))
+              parents)
           (Dim_instance.members inst cat))
     (Dim_schema.categories schema);
   let violations = List.rev !violations in
@@ -67,7 +64,7 @@ let summarizable inst ~from_category ~to_category =
   Dim_schema.is_ancestor schema ~ancestor:to_category from_category
   && List.for_all
        (fun m ->
-         List.length (Dim_instance.rollup inst m ~to_category) = 1)
+         List.length (Dim_instance.rolled_up inst m ~to_category) = 1)
        (Dim_instance.members inst from_category)
 
 let pp_violation ppf = function

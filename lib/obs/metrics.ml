@@ -258,22 +258,6 @@ let to_prometheus s =
     s.histograms;
   Buffer.contents buf
 
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
 let json_key (name, labels) =
   match labels with
   | [] -> name
@@ -292,7 +276,7 @@ let to_json s =
   let first = ref true in
   let field k v =
     if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape k) v)
+    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (Json.escape k) v)
   in
   List.iter (fun (k, v) -> field (json_key k) (string_of_int v)) s.counters;
   List.iter (fun (k, v) -> field (json_key k) (json_float v)) s.gauges;

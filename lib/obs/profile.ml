@@ -332,22 +332,6 @@ let total_query_seconds s =
 
 (* ------------------------------------------------------------ export *)
 
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
@@ -359,13 +343,13 @@ let to_json s =
     arr s.rules (fun (name, r) ->
         Printf.sprintf
           "{\"rule\":\"%s\",\"fires\":%d,\"triggers\":%d,\"matches\":%d,\"seconds\":%s}"
-          (json_escape name) r.fires r.triggers r.matches
+          (Json.escape name) r.fires r.triggers r.matches
           (json_float r.rule_seconds))
   and atoms =
     arr s.atoms (fun ((scope, idx, pred), a) ->
         Printf.sprintf
           "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"scanned\":%d,\"matched\":%d,\"selectivity\":%s}"
-          (json_escape scope) idx (json_escape pred) a.scanned a.matched
+          (Json.escape scope) idx (Json.escape pred) a.scanned a.matched
           (json_float (selectivity a)))
   and rounds =
     arr s.rounds (fun (n, r) ->
@@ -377,17 +361,17 @@ let to_json s =
   and queries =
     arr s.queries (fun (name, q) ->
         Printf.sprintf "{\"query\":\"%s\",\"evals\":%d,\"seconds\":%s}"
-          (json_escape name) q.evals
+          (Json.escape name) q.evals
           (json_float q.query_seconds))
   and phases =
     arr s.phases (fun (name, p) ->
         Printf.sprintf "{\"phase\":\"%s\",\"calls\":%d,\"seconds\":%s}"
-          (json_escape name) p.calls
+          (Json.escape name) p.calls
           (json_float p.phase_seconds))
   and plans =
     arr s.plans (fun (scope, l) ->
-        Printf.sprintf "{\"rule\":\"%s\",\"plans\":%s}" (json_escape scope)
-          (arr l (fun d -> "\"" ^ json_escape d ^ "\"")))
+        Printf.sprintf "{\"rule\":\"%s\",\"plans\":%s}" (Json.escape scope)
+          (arr l (fun d -> "\"" ^ Json.escape d ^ "\"")))
   in
   Printf.sprintf
     "{\"rules\":%s,\"atoms\":%s,\"rounds\":%s,\"queries\":%s,\

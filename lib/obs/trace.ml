@@ -113,39 +113,23 @@ let clear t =
 
 let micros s = s *. 1e6
 
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
 let event_json ev =
   let args =
     String.concat ","
       (Printf.sprintf "\"depth\":%d" ev.depth
       :: List.map
            (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+             Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
            ev.attrs)
   in
   if ev.dur = 0. && ev.depth = 0 then
     Printf.sprintf
       "{\"name\":\"%s\",\"cat\":\"mdqa\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-      (json_escape ev.name) (micros ev.ts) args
+      (Json.escape ev.name) (micros ev.ts) args
   else
     Printf.sprintf
       "{\"name\":\"%s\",\"cat\":\"mdqa\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-      (json_escape ev.name) (micros ev.ts) (micros ev.dur) args
+      (Json.escape ev.name) (micros ev.ts) (micros ev.dur) args
 
 let export_json t =
   let evs = events t in

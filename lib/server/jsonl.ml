@@ -235,19 +235,7 @@ let parse s =
 
 (* --- printing -------------------------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
+module Json = Mdqa_obs.Json
 
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -266,7 +254,7 @@ let to_string v =
       else Buffer.add_string buf (number_to_string f)
     | Str s ->
       Buffer.add_char buf '"';
-      escape buf s;
+      Json.add_escaped buf s;
       Buffer.add_char buf '"'
     | List items ->
       Buffer.add_char buf '[';
@@ -282,7 +270,7 @@ let to_string v =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          escape buf k;
+          Json.add_escaped buf k;
           Buffer.add_string buf "\":";
           go v)
         fields;

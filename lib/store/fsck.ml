@@ -505,25 +505,11 @@ let repair ?resync ~path () =
 
 (* --- rendering -------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
+module Json = Mdqa_obs.Json
 
 let to_json r =
   let buf = Buffer.create 512 in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
+  let str s = Printf.sprintf "\"%s\"" (Json.escape s) in
   Buffer.add_string buf
     (Printf.sprintf "{\"path\":%s,\"status\":%s,\"repaired\":%b,"
        (str r.path)

@@ -351,6 +351,18 @@ restarts=$(health_field restarts)
 [ "${restarts:-0}" -ge 1 ] \
   || fail "W1: crashed workers must be restarted (restarts=${restarts:-none})" \
        "$werr"
+# Precondition for the retrying client: the whole pool is back (health
+# reports all 4 workers ready).  Right after the burst every worker may
+# still be in restart backoff, and the client deliberately never retries
+# the H054 refusal it would get then.  Bounded: 30 s.
+tries=0
+until [ "$(health_field ready)" = 4 ]; do
+  tries=$((tries + 1))
+  [ "$tries" -le 300 ] \
+    || fail "W1: pool never got back to 4 ready workers (ready=$(health_field ready))" \
+         "$werr"
+  sleep 0.1
+done
 # the retrying client absorbs worker crashes entirely: same answers as
 # the pre-chaos baseline, exit 0, no E029 surfacing to the caller
 "$exe" query --remote "$sock" -q "$q" > "$dir/w1_retry.out" 2>/dev/null \

@@ -221,21 +221,21 @@ let test_never_located_at_zero () =
         (check_diags path text))
     (corpus_files ())
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let test_json_report () =
   let text = read_file (Filename.concat corpus_dir "syntax_multi.mdq") in
   let diags = (Md_parser.check_string ~file:"f.mdq" text).Md_parser.diags in
   let json = Diag.to_json ~file:"f.mdq" diags in
-  let contains sub =
-    let n = String.length sub and m = String.length json in
-    let rec go i =
-      i + n <= m && (String.sub json i n = sub || go (i + 1))
-    in
-    go 0
-  in
   List.iter
     (fun sub ->
       Alcotest.(check bool) (Printf.sprintf "json contains %s" sub) true
-        (contains sub))
+        (contains json sub))
     [ "\"file\":\"f.mdq\""; "\"diagnostics\":["; "\"severity\":\"error\"";
       "\"code\":\"E002\""; "\"line\":2" ]
 
@@ -254,6 +254,118 @@ let test_fuzz_never_raises =
       ignore (Validate.check_string s);
       ignore (Mdqa_context.Md_parser.check_string s);
       true)
+
+(* --- the .mdq front end at scale ---------------------------------- *)
+
+(* Allocation, not time: minor words per input byte of [check_string]
+   must not grow with the input.  Scale 80 is about 3.9x the bytes of
+   scale 40.  A linear front end reads about 1.04x the words per byte
+   there; one with a per-fact list append reads about 2.9x. *)
+let test_check_alloc_linear () =
+  let module Gen = Mdqa_hospital.Hospital.Gen in
+  let words_per_byte n =
+    let g = Gen.scale n in
+    let text =
+      Mdqa_context.Md_pretty.context_to_string ~source:(Gen.source g)
+        (Gen.context g)
+    in
+    let before = Gc.minor_words () in
+    let checked = Md_parser.check_string text in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "scale %d parses" n)
+      true
+      (checked.Md_parser.parsed <> None);
+    words /. float_of_int (String.length text)
+  in
+  let w40 = words_per_byte 40 and w80 = words_per_byte 80 in
+  if w80 > 1.25 *. w40 then
+    Alcotest.failf
+      "check_string allocates %.1f words/byte at scale 80 vs %.1f at 40 \
+       (> 1.25x)"
+      w80 w40
+
+(* Every W043/W044/W045 sits on the line that declares its member or
+   (first states) its fact, in a generated file with many of each. *)
+let test_warning_lines () =
+  let n = 60 in
+  let lines = ref [] and expected = ref [] in
+  let line text = lines := text :: !lines in
+  let expect code subject =
+    expected := (code, List.length !lines, subject) :: !expected
+  in
+  let station j = Printf.sprintf "st%03d" j
+  and sensor i = Printf.sprintf "s%03d" i
+  and ghost k = Printf.sprintf "g%03d" k in
+  line "dimension Loc {";
+  line "  category Sensor -> Station.";
+  line "  category Station -> Region.";
+  line "  member \"r0\" in Region.";
+  line "  member \"r1\" in Region.";
+  (* even stations roll up to both regions *)
+  for j = 0 to (n / 2) - 1 do
+    if j mod 2 = 0 then begin
+      line (Printf.sprintf "  member %S in Station -> \"r0\", \"r1\"." (station j));
+      expect "W043" ("member " ^ station j ^ " ")
+    end
+    else line (Printf.sprintf "  member %S in Station -> \"r0\"." (station j))
+  done;
+  (* every third sensor has no station; the others inherit their
+     station's strictness *)
+  for i = 0 to n - 1 do
+    let j = i mod (n / 2) in
+    if i mod 3 = 0 then begin
+      line (Printf.sprintf "  member %S in Sensor." (sensor i));
+      expect "W044" ("member " ^ sensor i ^ " ")
+    end
+    else begin
+      line (Printf.sprintf "  member %S in Sensor -> %S." (sensor i) (station j));
+      if j mod 2 = 0 then expect "W043" ("member " ^ sensor i ^ " ")
+    end
+  done;
+  line "}";
+  line "relation reading(s in Loc.Sensor, v).";
+  for k = 0 to n - 1 do
+    line (Printf.sprintf "reading(%S, %d)." (sensor k) k);
+    if k mod 2 = 0 then begin
+      line (Printf.sprintf "reading(%S, %d)." (ghost k) k);
+      expect "W045" (ghost k)
+    end
+  done;
+  (* restating a violating fact adds no warning: W045 keeps the first *)
+  for k = 0 to n - 1 do
+    if k mod 4 = 0 then line (Printf.sprintf "reading(%S, %d)." (ghost k) k)
+  done;
+  let text = String.concat "\n" (List.rev !lines) ^ "\n" in
+  let checked = Md_parser.check_string text in
+  Alcotest.(check bool) "parses" true (checked.Md_parser.parsed <> None);
+  let got =
+    List.map
+      (fun (d : Diag.t) -> (d.Diag.code, d.Diag.span.Diag.line))
+      checked.Md_parser.diags
+  in
+  let want = List.map (fun (code, l, _) -> (code, l)) !expected in
+  let show (c, l) = Printf.sprintf "%s @ %d" c l in
+  Alcotest.(check (list string))
+    "codes and lines"
+    (List.sort compare (List.map show want))
+    (List.sort compare (List.map show got));
+  List.iter
+    (fun (d : Diag.t) ->
+      let subject =
+        List.find_map
+          (fun (code, l, subject) ->
+            if code = d.Diag.code && l = d.Diag.span.Diag.line then
+              Some subject
+            else None)
+          !expected
+      in
+      match subject with
+      | Some s when contains d.Diag.message s -> ()
+      | _ ->
+        Alcotest.failf "line %d: %s does not name its subject: %s"
+          d.Diag.span.Diag.line d.Diag.code d.Diag.message)
+    checked.Md_parser.diags
 
 let suites =
   [ ( "diag.corpus",
@@ -278,4 +390,9 @@ let suites =
         Alcotest.test_case "never located at line 0" `Quick
           test_never_located_at_zero;
         Alcotest.test_case "json report" `Quick test_json_report;
-        QCheck_alcotest.to_alcotest test_fuzz_never_raises ] ) ]
+        QCheck_alcotest.to_alcotest test_fuzz_never_raises ] );
+    ( "diag.front_end",
+      [ Alcotest.test_case "check allocation linear in the input" `Quick
+          test_check_alloc_linear;
+        Alcotest.test_case "hierarchy and referential warnings on their lines"
+          `Quick test_warning_lines ] ) ]

@@ -719,6 +719,185 @@ let qcheck_cases =
     [ prop_rollup_drilldown_galois; prop_strict_singleton_rollup;
       prop_diagnose_consistent; prop_aggregate_partition ]
 
+(* Random multi-level instances in which a member links to any subset
+   of the members of each parent category: none (non-homogeneous), one,
+   or several (non-strict).  Three schemas: a chain, a diamond, and a
+   chain with a shortcut edge, where an ancestor category is also an
+   immediate parent. *)
+let dag_schemas =
+  [ Hospital.hospital_dim;
+    Dim_schema.make ~name:"Diamond"
+      ~edges:
+        [ ("Day", "Week"); ("Day", "Month"); ("Week", "Year");
+          ("Month", "Year") ];
+    Dim_schema.make ~name:"Shortcut"
+      ~edges:[ ("A", "B"); ("B", "C"); ("A", "C") ] ]
+
+let gen_dag_instance =
+  QCheck.Gen.(
+    let* schema = oneofl dag_schemas in
+    let cats =
+      List.filter (fun c -> c <> Dim_schema.all) (Dim_schema.categories schema)
+    in
+    let* sizes = flatten_l (List.map (fun _ -> 1 -- 4) cats) in
+    let members =
+      List.map2
+        (fun cat n ->
+          (cat, List.init n (Printf.sprintf "%s%d" (String.lowercase_ascii cat))))
+        cats sizes
+    in
+    let* links =
+      flatten_l
+        (List.concat_map
+           (fun (cat, ms) ->
+             List.concat_map
+               (fun m ->
+                 List.filter_map
+                   (fun pcat ->
+                     Option.map
+                       (fun parents ->
+                         map
+                           (fun keep ->
+                             List.concat
+                               (List.map2
+                                  (fun p k -> if k then [ (m, p) ] else [])
+                                  parents keep))
+                           (flatten_l (List.map (fun _ -> bool) parents)))
+                       (List.assoc_opt pcat members))
+                   (Dim_schema.parents schema cat))
+               ms)
+           members)
+    in
+    return (Dim_instance.make schema ~members ~links:(List.concat links)))
+
+let dag_instance_arb =
+  QCheck.make
+    ~print:(fun i -> Format.asprintf "%a" Dim_instance.pp i)
+    gen_dag_instance
+
+(* Test-only reference: the per-member algorithms the roll-up table
+   replaced, one [rollup] walk or [member_parents] scan per member. *)
+module Reference = struct
+  let name = function R.Value.Sym s -> s | v -> R.Value.to_string v
+
+  (* every member but [all], in name order, with its category *)
+  let members di =
+    let schema = Dim_instance.schema di in
+    List.concat_map
+      (fun cat ->
+        if cat = Dim_schema.all then []
+        else List.map (fun m -> (m, cat)) (Dim_instance.members di cat))
+      (Dim_schema.categories schema)
+    |> List.sort (fun (a, _) (b, _) -> R.Value.compare a b)
+
+  let covered di m pcat =
+    List.exists
+      (fun p -> Dim_instance.category_of di p = Some pcat)
+      (Dim_instance.member_parents di m)
+
+  let strictness_violations di =
+    let schema = Dim_instance.schema di in
+    List.concat_map
+      (fun (m, cat) ->
+        List.filter_map
+          (fun anc ->
+            let ups = Dim_instance.rollup di m ~to_category:anc in
+            if List.length ups > 1 then Some (name m, anc, ups) else None)
+          (Dim_schema.ancestors schema cat))
+      (members di)
+
+  let homogeneity_violations di =
+    let schema = Dim_instance.schema di in
+    List.concat_map
+      (fun (m, cat) ->
+        List.filter_map
+          (fun pcat -> if covered di m pcat then None else Some (name m, pcat))
+          (Dim_schema.parents schema cat))
+      (members di)
+
+  let diagnose di =
+    let schema = Dim_instance.schema di in
+    let violations =
+      List.concat_map
+        (fun cat ->
+          if cat = Dim_schema.all then []
+          else
+            List.concat_map
+              (fun m ->
+                List.filter_map
+                  (fun anc ->
+                    let ups = Dim_instance.rollup di m ~to_category:anc in
+                    if List.length ups > 1 then
+                      Some
+                        (Summarizability.Non_strict
+                           { member = m; category = cat;
+                             ancestor_category = anc; ancestors = ups })
+                    else None)
+                  (Dim_schema.ancestors schema cat)
+                @ List.filter_map
+                    (fun pcat ->
+                      if covered di m pcat then None
+                      else
+                        Some
+                          (Summarizability.Non_covering
+                             { member = m; category = cat;
+                               parent_category = pcat }))
+                    (Dim_schema.parents schema cat))
+              (Dim_instance.members di cat))
+        (Dim_schema.categories schema)
+    in
+    { Summarizability.strict =
+        not
+          (List.exists
+             (function Summarizability.Non_strict _ -> true | _ -> false)
+             violations);
+      homogeneous =
+        not
+          (List.exists
+             (function Summarizability.Non_covering _ -> true | _ -> false)
+             violations);
+      violations }
+
+  let summarizable di ~from_category ~to_category =
+    Dim_schema.is_ancestor (Dim_instance.schema di) ~ancestor:to_category
+      from_category
+    && List.for_all
+         (fun m -> List.length (Dim_instance.rollup di m ~to_category) = 1)
+         (Dim_instance.members di from_category)
+end
+
+let prop_rollup_table_reference =
+  QCheck.Test.make ~name:"roll-up table checks = per-member reference"
+    ~count:500 ~long_factor:10 dag_instance_arb (fun di ->
+      let cats = Dim_schema.categories (Dim_instance.schema di) in
+      let strict = Reference.strictness_violations di
+      and homog = Reference.homogeneity_violations di in
+      Dim_instance.strictness_violations di = strict
+      && Dim_instance.homogeneity_violations di = homog
+      && Dim_instance.is_strict di = (strict = [])
+      && Dim_instance.is_homogeneous di = (homog = [])
+      && Summarizability.diagnose di = Reference.diagnose di
+      && List.for_all
+           (fun from_category ->
+             List.for_all
+               (fun to_category ->
+                 Summarizability.summarizable di ~from_category ~to_category
+                 = Reference.summarizable di ~from_category ~to_category)
+               cats)
+           cats)
+
+(* The generator is only a reference test if every outcome occurs. *)
+let test_dag_generator_mix () =
+  let rand = Random.State.make [| 14 |] in
+  let sample = List.init 200 (fun _ -> gen_dag_instance rand) in
+  let count p = List.length (List.filter p sample) in
+  let strict = count Dim_instance.is_strict
+  and homog = count Dim_instance.is_homogeneous in
+  Alcotest.(check bool) "some strict" true (strict > 0);
+  Alcotest.(check bool) "some non-strict" true (strict < 200);
+  Alcotest.(check bool) "some homogeneous" true (homog > 0);
+  Alcotest.(check bool) "some non-homogeneous" true (homog < 200)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -777,4 +956,8 @@ let suites =
         case "drilldown multiplies with nulls" test_navigation_drilldown_multiplies;
         case "rollup drops unlinked members" test_navigation_rollup_drops_unlinked
       ] );
-    ("multidim.properties", qcheck_cases) ]
+    ("multidim.properties", qcheck_cases);
+    ( "multidim.rollup_table",
+      [ case "generator mixes strict and homogeneous outcomes"
+          test_dag_generator_mix;
+        QCheck_alcotest.to_alcotest prop_rollup_table_reference ] ) ]

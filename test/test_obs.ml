@@ -156,6 +156,21 @@ let prop_spans_survive_exceptions =
 
 (* --- trace export ----------------------------------------------------- *)
 
+(* The one escaper every JSON emitter shares: these bytes are what
+   every trace, log record, metric, profile, diagnostic report and serve
+   reply has always emitted, and the serve codec parses them back. *)
+let test_json_escape_bytes () =
+  let raw = "q\"b\\s\nn\rr\tt\x01\x1f\x7f\xc3\xa9" in
+  let esc = "q\\\"b\\\\s\\nn\\rr\\tt\\u0001\\u001f\x7f\xc3\xa9" in
+  Alcotest.(check string) "escape" esc (Mdqa_obs.Json.escape raw);
+  let buf = Buffer.create 8 in
+  Buffer.add_char buf '<';
+  Mdqa_obs.Json.add_escaped buf raw;
+  Alcotest.(check string) "add_escaped appends" ("<" ^ esc) (Buffer.contents buf);
+  match Jsonl.parse ("\"" ^ esc ^ "\"") with
+  | Ok (Jsonl.Str s) -> Alcotest.(check string) "round trip" raw s
+  | _ -> Alcotest.fail "escaped string must parse back"
+
 let test_export_is_valid_json () =
   let now = ref 0. in
   let clock () =
@@ -723,7 +738,8 @@ let suites =
           case "prometheus exposition" test_prometheus_exposition ] );
     ( "obs.trace",
       props [ prop_spans_survive_exceptions ]
-      @ [ case "export is valid trace JSON" test_export_is_valid_json;
+      @ [ case "one JSON string escaper" test_json_escape_bytes;
+          case "export is valid trace JSON" test_export_is_valid_json;
           case "ring buffer drops oldest" test_ring_buffer_drops_oldest ] );
     ( "obs.logger",
       [ case "JSONL records and level filtering" test_logger_json_and_levels;
