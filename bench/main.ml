@@ -27,6 +27,15 @@ let emit_metrics = Array.exists (fun a -> a = "--emit-metrics") Sys.argv
 let profile_runs = Array.exists (fun a -> a = "--profile") Sys.argv
 
 module Profile = Mdqa_obs.Profile
+module Json = Mdqa_obs.Json
+
+(* Each mode's BENCH_*.json is one JSON object on one line. *)
+let write_json path fields =
+  let oc = open_out path in
+  output_string oc (Json.to_string (Json.Obj fields));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "\n%s written\n" path
 
 let v = Term.var
 let c s = Term.Const (R.Value.sym s)
@@ -442,16 +451,14 @@ let report_c3 () =
                  r.Profile.triggers)
            hottest);
       if emit_metrics || prof_snap <> None then
-        let profile_field =
-          match prof_snap with
-          | None -> ""
-          | Some ps -> Printf.sprintf ", \"profile\": %s" (Profile.to_json ps)
-        in
         json_rows :=
-          Printf.sprintf
-            "    {\"patients\": %d, \"chase_s\": %.6f, \"assess_s\": %.6f, \
-             \"metrics\": %s%s}"
-            n chase_t assess_t (Metrics.to_json snap) profile_field
+          Json.Obj
+            ([ ("patients", Json.int n); ("chase_s", Json.Num chase_t);
+               ("assess_s", Json.Num assess_t);
+               ("metrics", Metrics.to_json snap) ]
+            @ Option.fold ~none:[]
+                ~some:(fun ps -> [ ("profile", Profile.to_json ps) ])
+                prof_snap)
           :: !json_rows)
     scaling_sizes;
   Printf.printf
@@ -463,19 +470,13 @@ let report_c3 () =
     "\n(slope = chase-time growth exponent vs input tuples between\n\
     \ consecutive sizes; polynomial data complexity shows as a small\n\
     \ bounded exponent)\n";
-  if !json_rows <> [] then begin
-    let json =
-      Printf.sprintf
-        "{\n  \"experiment\": \"c3\",\n  \"description\": \"chase + \
-         assessment scaling, metrics-registry snapshots per size\",\n  \
-         \"rows\": [\n%s\n  ]\n}\n"
-        (String.concat ",\n" (List.rev !json_rows))
-    in
-    let oc = open_out "BENCH_c3.json" in
-    output_string oc json;
-    close_out oc;
-    Printf.printf "\nBENCH_c3.json written\n"
-  end
+  if !json_rows <> [] then
+    write_json "BENCH_c3.json"
+      [ ("experiment", Json.Str "c3");
+        ("description",
+         Json.Str
+           "chase + assessment scaling, metrics-registry snapshots per size");
+        ("rows", Json.List (List.rev !json_rows)) ]
 
 let report_c4 () =
   banner
@@ -759,28 +760,22 @@ let report_store () =
         Printf.printf "%-14s %12.4f %12.4f %9.2fx %12d %12d %12.5f %12s\n"
           name plain_t ckpt_t overhead ckpt_bytes snapshot_bytes recover_t
           !status;
-        Printf.sprintf
-          "    {\"workload\": %S, \"chase_s\": %.6f, \
-           \"chase_checkpointed_s\": %.6f, \"overhead_ratio\": %.4f, \
-           \"checkpoint_bytes\": %d, \"snapshot_bytes\": %d, \
-           \"recover_s\": %.6f, \"status\": %S}"
-          name plain_t ckpt_t overhead ckpt_bytes snapshot_bytes recover_t
-          !status)
+        Json.Obj
+          [ ("workload", Json.Str name); ("chase_s", Json.Num plain_t);
+            ("chase_checkpointed_s", Json.Num ckpt_t);
+            ("overhead_ratio", Json.Num overhead);
+            ("checkpoint_bytes", Json.int ckpt_bytes);
+            ("snapshot_bytes", Json.int snapshot_bytes);
+            ("recover_s", Json.Num recover_t); ("status", Json.Str !status) ])
       workloads
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"store\",\n  \"description\": \"checkpoint \
-       overhead vs checkpoint-free chase\",\n  \"rows\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" rows)
-  in
-  let oc = open_out "BENCH_store.json" in
-  output_string oc json;
-  close_out oc;
   Printf.printf
     "\n(overhead = durable chase wall time / plain chase wall time;\n\
     \ recover = Store.load, i.e. snapshot read + journal replay)\n";
-  Printf.printf "\nBENCH_store.json written\n"
+  write_json "BENCH_store.json"
+    [ ("experiment", Json.Str "store");
+      ("description", Json.Str "checkpoint overhead vs checkpoint-free chase");
+      ("rows", Json.List rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: request latency against a warm forked server, plus a drain
@@ -934,36 +929,36 @@ let report_serve () =
     Printf.printf
       "(speedup target not enforced: only %d cores available)\n" cores;
   let row ~label ~workers p50 p95 p99 tp =
-    Printf.sprintf
-      "    {\"config\": %S, \"workers\": %d, \"requests\": %d, \
-       \"clients\": %d, \"p50_s\": %.6f, \"p95_s\": %.6f, \"p99_s\": %.6f, \
-       \"throughput_rps\": %.1f}"
-      label workers n_requests n_clients p50 p95 p99 tp
+    Json.Obj
+      [ ("config", Json.Str label); ("workers", Json.int workers);
+        ("requests", Json.int n_requests); ("clients", Json.int n_clients);
+        ("p50_s", Json.Num p50); ("p95_s", Json.Num p95);
+        ("p99_s", Json.Num p99); ("throughput_rps", Json.Num tp) ]
   in
   let gated = cores >= 4 in
   let note =
-    if gated then ""
+    if gated then []
     else
-      Printf.sprintf
-        ",\n  \"note\": \"speedup target not enforced: only %d cores \
-         available; the pool cannot parallelize\""
-        cores
+      [ ("note",
+         Json.Str
+           (Printf.sprintf
+              "speedup target not enforced: only %d cores available; the \
+               pool cannot parallelize"
+              cores)) ]
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"serve\",\n  \"description\": \"concurrent \
-       request throughput against warm mdqa serve over a Unix socket, \
-       inline vs supervised worker pool\",\n  \"cores\": %d,\n  \
-       \"gated\": %b%s,\n  \
-       \"pool_speedup\": %.4f,\n  \"rows\": [\n%s,\n%s\n  ]\n}\n"
-      cores gated note speedup
-      (row ~label:"workers=0" ~workers:0 p50_0 p95_0 p99_0 tp_0)
-      (row ~label:"workers=4" ~workers:4 p50_4 p95_4 p99_4 tp_4)
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nBENCH_serve.json written\n"
+  write_json "BENCH_serve.json"
+    ([ ("experiment", Json.Str "serve");
+       ("description",
+        Json.Str
+          "concurrent request throughput against warm mdqa serve over a \
+           Unix socket, inline vs supervised worker pool");
+       ("cores", Json.int cores); ("gated", Json.Bool gated) ]
+    @ note
+    @ [ ("pool_speedup", Json.Num speedup);
+        ("rows",
+         Json.List
+           [ row ~label:"workers=0" ~workers:0 p50_0 p95_0 p99_0 tp_0;
+             row ~label:"workers=4" ~workers:4 p50_4 p95_4 p99_4 tp_4 ]) ])
 
 (* Tracer overhead budget: the C3 chase with a tracer installed (every
    round and rule firing emitting a span) must stay within 2% of the

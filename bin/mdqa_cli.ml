@@ -45,7 +45,7 @@ module Server = Mdqa_server.Server
 module Service = Mdqa_server.Service
 module Client = Mdqa_server.Client
 module Sproto = Mdqa_server.Protocol
-module Jsonl = Mdqa_server.Jsonl
+module Json = Mdqa_obs.Json
 module Backoff = Mdqa_server.Backoff
 module Fdio = Mdqa_server.Fdio
 module Replication = Mdqa_server.Replication
@@ -427,7 +427,7 @@ let resume_cmd =
 (* --- store: inspection of checkpoint stores -------------------------- *)
 
 let emit_fsck_report json report =
-  if json then print_endline (Fsck.to_json report)
+  if json then print_endline (Json.to_string (Fsck.to_json report))
   else Fsck.print_text report;
   Fsck.exit_code report
 
@@ -585,19 +585,19 @@ let run_remote_query ~addr ~engine ~attempts ~budget ~timeout ~max_steps
   List.iteri
     (fun i q ->
       let req =
-        Jsonl.Obj
-          ([ ("kind", Jsonl.Str "query");
-             ("id", Jsonl.Num (float_of_int i));
-             ("query", Jsonl.Str q);
-             ("engine", Jsonl.Str engine_name);
-             ("max_steps", Jsonl.Num (float_of_int max_steps)) ]
+        Json.Obj
+          ([ ("kind", Json.Str "query");
+             ("id", Json.Num (float_of_int i));
+             ("query", Json.Str q);
+             ("engine", Json.Str engine_name);
+             ("max_steps", Json.Num (float_of_int max_steps)) ]
           @
           match timeout with
-          | Some t -> [ ("timeout", Jsonl.Num t) ]
+          | Some t -> [ ("timeout", Json.Num t) ]
           | None -> [])
       in
       let name = Printf.sprintf "q%d" i in
-      match Client.roundtrip client (Jsonl.to_string req) with
+      match Client.roundtrip client (Json.to_string req) with
       | Error e ->
         Logger.error ~fields:[ ("query", Logger.Str name) ] e;
         failed := true
@@ -780,7 +780,7 @@ let run_diag_check file json =
       (Mdqa_context.Md_parser.check_file file).Mdqa_context.Md_parser.diags
     else (Validate.check_file file).Validate.diags
   in
-  if json then print_endline (Diag.to_json ~file diags)
+  if json then print_endline (Json.to_string (Diag.to_json ~file diags))
   else begin
     List.iter (fun d -> Format.printf "%a@." Diag.pp d) diags;
     Format.printf "%a@." Diag.pp_summary diags
@@ -1394,7 +1394,7 @@ let run_remote_raw addr slow use_retry burst =
          let line = input_line stdin in
          if String.trim line <> "" then
            match Client.roundtrip client line with
-           | Ok r -> print_endline (Jsonl.to_string r.Sproto.json)
+           | Ok r -> print_endline (Json.to_string r.Sproto.json)
            | Error e ->
              Format.eprintf "mdqa: %s@." e;
              rc := exit_error
@@ -1501,7 +1501,7 @@ let run_metrics addr spans attempts budget =
   let policy = Backoff.policy ~max_attempts:attempts ~budget () in
   let client = Client.create ~policy ~addr () in
   let kind = if spans then "spans" else "metrics" in
-  let req = Jsonl.to_string (Jsonl.Obj [ ("kind", Jsonl.Str kind) ]) in
+  let req = Json.to_string (Json.Obj [ ("kind", Json.Str kind) ]) in
   let rc =
     match Client.roundtrip client req with
     | Error e ->
@@ -1509,16 +1509,16 @@ let run_metrics addr spans attempts budget =
       exit_error
     | Ok r ->
       if spans then (
-        match Jsonl.member "spans" r.Sproto.json with
+        match Json.member "spans" r.Sproto.json with
         | Some v ->
-          print_endline (Jsonl.to_string v);
+          print_endline (Json.to_string v);
           exit_complete
         | None ->
           Logger.error "reply carries no \"spans\" field";
           exit_error)
       else (
         match
-          Option.bind (Jsonl.member "exposition" r.Sproto.json) Jsonl.to_str
+          Option.bind (Json.member "exposition" r.Sproto.json) Json.to_str
         with
         | Some text ->
           print_string text;
@@ -1556,14 +1556,14 @@ let run_promote addr attempts budget =
   run_protected @@ fun () ->
   let policy = Backoff.policy ~max_attempts:attempts ~budget () in
   let client = Client.create ~policy ~addr () in
-  let req = Jsonl.to_string (Jsonl.Obj [ ("kind", Jsonl.Str "promote") ]) in
+  let req = Json.to_string (Json.Obj [ ("kind", Json.Str "promote") ]) in
   let rc =
     match Client.roundtrip client req with
     | Error e ->
       Logger.error e;
       exit_error
     | Ok r ->
-      print_endline (Jsonl.to_string r.Sproto.json);
+      print_endline (Json.to_string r.Sproto.json);
       if r.Sproto.status = "complete" then exit_complete else exit_error
   in
   Client.close client;
@@ -1598,11 +1598,11 @@ let require_arg =
 let run_trace_verify file requires =
   run_protected @@ fun () ->
   let text = read_file file in
-  match Jsonl.parse text with
+  match Json.parse text with
   | Error e -> fatal ~file ~code:"E024" "invalid JSON: %s" e
   | Ok json ->
     let events =
-      match Option.bind (Jsonl.member "traceEvents" json) Jsonl.to_list with
+      match Option.bind (Json.member "traceEvents" json) Json.to_list with
       | Some evs -> evs
       | None -> fatal ~file ~code:"E024" "no \"traceEvents\" array"
     in
@@ -1610,8 +1610,8 @@ let run_trace_verify file requires =
     let names = Hashtbl.create 64 in
     List.iteri
       (fun i ev ->
-        let str k = Option.bind (Jsonl.member k ev) Jsonl.to_str in
-        let num k = Option.bind (Jsonl.member k ev) Jsonl.to_num in
+        let str k = Option.bind (Json.member k ev) Json.to_str in
+        let num k = Option.bind (Json.member k ev) Json.to_num in
         let problem fmt =
           Printf.ksprintf
             (fun m ->
@@ -1778,7 +1778,7 @@ let profile_finish ~json ~top ~stats snap tgds exit_code =
   (match stats with
   | Some store -> Stats.record ~store snap
   | None -> ());
-  if json then print_endline (Profile.to_json snap)
+  if json then print_endline (Json.to_string (Profile.to_json snap))
   else print_profile_report ~top snap tgds;
   exit_code
 

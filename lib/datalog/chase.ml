@@ -137,19 +137,6 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
     Metrics.counter metrics ~help:"facts derived by TGD heads"
       "mdqa_chase_facts_total"
   in
-  let rule_fire_counter =
-    let cache = Hashtbl.create 16 in
-    fun rule ->
-      match Hashtbl.find_opt cache rule with
-      | Some c -> c
-      | None ->
-        let c =
-          Metrics.counter metrics ~help:"TGD firings per rule"
-            ~labels:[ ("rule", rule) ] "mdqa_chase_rule_fires_total"
-        in
-        Hashtbl.add cache rule c;
-        c
-  in
   let base_rounds = Metrics.counter_value c_rounds
   and base_triggers = Metrics.counter_value c_triggers
   and base_fires = Metrics.counter_value c_fires
@@ -258,7 +245,6 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
           head;
         if !new_fact then begin
           Metrics.inc c_fires;
-          Metrics.inc (rule_fire_counter tgd.Tgd.name);
           match prof_h with Some h -> Profile.add_fire h | None -> ()
         end
       in

@@ -161,36 +161,20 @@ let pp_summary ppf ds =
 module Json = Mdqa_obs.Json
 
 let to_json ?file ds =
-  let buf = Buffer.create 512 in
-  let n sev = List.length (List.filter (fun d -> d.severity = sev) ds) in
-  Buffer.add_char buf '{';
-  (match file with
-   | Some f -> Buffer.add_string buf (Printf.sprintf "\"file\":\"%s\"," (Json.escape f))
-   | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "\"errors\":%d,\"warnings\":%d,\"hints\":%d,"
-       (n Error) (n Warning) (n Hint));
-  Buffer.add_string buf "\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '{';
-      Buffer.add_string buf
-        (Printf.sprintf "\"severity\":\"%s\",\"code\":\"%s\","
-           (severity_to_string d.severity) (Json.escape d.code));
-      (match describe d.code with
-       | Some m ->
-         Buffer.add_string buf
-           (Printf.sprintf "\"mnemonic\":\"%s\"," (Json.escape m))
-       | None -> ());
-      (match d.span.file with
-       | Some f ->
-         Buffer.add_string buf
-           (Printf.sprintf "\"file\":\"%s\"," (Json.escape f))
-       | None -> ());
-      Buffer.add_string buf
-        (Printf.sprintf "\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-           d.span.line d.span.col (Json.escape d.message)))
-    ds;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let n sev =
+    Json.int (List.length (List.filter (fun d -> d.severity = sev) ds))
+  in
+  let opt key = Option.fold ~none:[] ~some:(fun v -> [ (key, Json.Str v) ]) in
+  let diag d =
+    Json.Obj
+      ([ ("severity", Json.Str (severity_to_string d.severity));
+         ("code", Json.Str d.code) ]
+      @ opt "mnemonic" (describe d.code)
+      @ opt "file" d.span.file
+      @ [ ("line", Json.int d.span.line); ("col", Json.int d.span.col);
+          ("message", Json.Str d.message) ])
+  in
+  Json.Obj
+    (opt "file" file
+    @ [ ("errors", n Error); ("warnings", n Warning); ("hints", n Hint);
+        ("diagnostics", Json.List (List.map diag ds)) ])

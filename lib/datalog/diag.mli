@@ -128,9 +128,11 @@ val pp : Format.formatter -> t -> unit
 val pp_summary : Format.formatter -> t list -> unit
 (** ["3 errors, 1 warning"]-style one-line summary. *)
 
-val to_json : ?file:string -> t list -> string
-(** The whole report as one JSON object:
+val to_json : ?file:string -> t list -> Mdqa_obs.Json.t
+(** The whole report as one JSON object, printed by
+    {!Mdqa_obs.Json.to_string} as the byte-stable [mdqa check --json]
+    line:
     [{"file": ..., "errors": N, "warnings": N, "hints": N,
       "diagnostics": [{"severity": "error", "code": "E012",
-      "mnemonic": "unknown-predicate", "line": L, "col": C,
-      "file": ..., "message": ...}, ...]}]. *)
+      "mnemonic": "unknown-predicate", "file": ..., "line": L,
+      "col": C, "message": ...}, ...]}]. *)

@@ -41,14 +41,6 @@ let timestamp now =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec (max 0 ms)
 
-let field_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
-  | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_finite f then Printf.sprintf "%.9g" f
-    else Printf.sprintf "\"%h\"" f
-  | Bool b -> string_of_bool b
-
 let field_text = function
   | Str s ->
     if String.contains s ' ' || String.contains s '"' then
@@ -59,19 +51,21 @@ let field_text = function
   | Bool b -> string_of_bool b
 
 let render lvl ts msg fields =
-  if !json_mode then begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ts\":\"%s\",\"level\":\"%s\",\"msg\":\"%s\"" ts
-         (level_name lvl) (Json.escape msg));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%s" (Json.escape k) (field_json v)))
-      fields;
-    Buffer.add_char buf '}';
-    Buffer.contents buf
-  end
+  if !json_mode then
+    Json.to_string
+      (Json.Obj
+         (("ts", Json.Str ts)
+         :: ("level", Json.Str (level_name lvl))
+         :: ("msg", Json.Str msg)
+         :: List.map
+              (fun (k, v) ->
+                ( k,
+                  match v with
+                  | Str s -> Json.Str s
+                  | Int i -> Json.int i
+                  | Float f -> Json.Num f
+                  | Bool b -> Json.Bool b ))
+              fields))
   else begin
     let buf = Buffer.create 128 in
     Buffer.add_string buf

@@ -266,33 +266,23 @@ let json_key (name, labels) =
     ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l)
     ^ "}"
 
-let json_float v =
-  if Float.is_finite v then float_str v
-  else Printf.sprintf "\"%s\"" (float_str v)
-
 let to_json s =
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  let first = ref true in
-  let field k v =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (Json.escape k) v)
+  let histo h =
+    Json.Obj
+      [ ("count", Json.int h.hcount);
+        ("sum", Json.Num h.hsum);
+        ("buckets",
+         Json.List
+           (List.map
+              (fun (e, n) ->
+                Json.List [ Json.Num (bucket_upper e); Json.int n ])
+              h.hbuckets)) ]
   in
-  List.iter (fun (k, v) -> field (json_key k) (string_of_int v)) s.counters;
-  List.iter (fun (k, v) -> field (json_key k) (json_float v)) s.gauges;
-  List.iter
-    (fun (k, h) ->
-      field (json_key k)
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" h.hcount
-           (json_float h.hsum)
-           (String.concat ","
-              (List.map
-                 (fun (e, n) ->
-                   Printf.sprintf "[%s,%d]" (json_float (bucket_upper e)) n)
-                 h.hbuckets))))
-    s.histograms;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let series f l = List.map (fun (k, v) -> (json_key k, f v)) l in
+  Json.Obj
+    (series Json.int s.counters
+    @ series (fun v -> Json.Num v) s.gauges
+    @ series histo s.histograms)
 
 (* ------------------------------------------------------------- lookups *)
 

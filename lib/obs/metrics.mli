@@ -71,8 +71,11 @@ val to_prometheus : snapshot -> string
     counters as integers, histograms as cumulative [_bucket{le=...}]
     series with [_sum] and [_count]. *)
 
-val to_json : snapshot -> string
-(** Single-line JSON rendering of the snapshot (for BENCH_*.json). *)
+val to_json : snapshot -> Json.t
+(** The snapshot as one JSON object keyed by series
+    ([name{label=value,...}]): counters and gauges as numbers,
+    histograms as [{"count", "sum", "buckets": [[upper, n], ...]}]
+    (for BENCH_*.json).  Print it with {!Json.to_string}. *)
 
 (** {1 Lookup helpers (tests, bench)} *)
 

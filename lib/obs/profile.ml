@@ -332,48 +332,40 @@ let total_query_seconds s =
 
 (* ------------------------------------------------------------ export *)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
 let to_json s =
-  let arr l f = "[" ^ String.concat "," (List.map f l) ^ "]" in
-  let rules =
-    arr s.rules (fun (name, r) ->
-        Printf.sprintf
-          "{\"rule\":\"%s\",\"fires\":%d,\"triggers\":%d,\"matches\":%d,\"seconds\":%s}"
-          (Json.escape name) r.fires r.triggers r.matches
-          (json_float r.rule_seconds))
-  and atoms =
-    arr s.atoms (fun ((scope, idx, pred), a) ->
-        Printf.sprintf
-          "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"scanned\":%d,\"matched\":%d,\"selectivity\":%s}"
-          (Json.escape scope) idx (Json.escape pred) a.scanned a.matched
-          (json_float (selectivity a)))
-  and rounds =
-    arr s.rounds (fun (n, r) ->
-        Printf.sprintf
-          "{\"round\":%d,\"count\":%d,\"seconds\":%s,\"minor_collections\":%d,\"major_collections\":%d,\"heap_words\":%d}"
-          n r.round_count
-          (json_float r.round_seconds)
-          r.minor_collections r.major_collections r.heap_words)
-  and queries =
-    arr s.queries (fun (name, q) ->
-        Printf.sprintf "{\"query\":\"%s\",\"evals\":%d,\"seconds\":%s}"
-          (Json.escape name) q.evals
-          (json_float q.query_seconds))
-  and phases =
-    arr s.phases (fun (name, p) ->
-        Printf.sprintf "{\"phase\":\"%s\",\"calls\":%d,\"seconds\":%s}"
-          (Json.escape name) p.calls
-          (json_float p.phase_seconds))
-  and plans =
-    arr s.plans (fun (scope, l) ->
-        Printf.sprintf "{\"rule\":\"%s\",\"plans\":%s}" (Json.escape scope)
-          (arr l (fun d -> "\"" ^ Json.escape d ^ "\"")))
-  in
-  Printf.sprintf
-    "{\"rules\":%s,\"atoms\":%s,\"rounds\":%s,\"queries\":%s,\
-     \"phases\":%s,\"plans\":%s}"
-    rules atoms rounds queries phases plans
+  let rows l f = Json.List (List.map f l) in
+  let int = Json.int and str s = Json.Str s and num f = Json.Num f in
+  Json.Obj
+    [ ("rules",
+       rows s.rules (fun (name, r) ->
+           Json.Obj
+             [ ("rule", str name); ("fires", int r.fires);
+               ("triggers", int r.triggers); ("matches", int r.matches);
+               ("seconds", num r.rule_seconds) ]));
+      ("atoms",
+       rows s.atoms (fun ((scope, idx, pred), a) ->
+           Json.Obj
+             [ ("rule", str scope); ("atom", int idx); ("pred", str pred);
+               ("scanned", int a.scanned); ("matched", int a.matched);
+               ("selectivity", num (selectivity a)) ]));
+      ("rounds",
+       rows s.rounds (fun (n, r) ->
+           Json.Obj
+             [ ("round", int n); ("count", int r.round_count);
+               ("seconds", num r.round_seconds);
+               ("minor_collections", int r.minor_collections);
+               ("major_collections", int r.major_collections);
+               ("heap_words", int r.heap_words) ]));
+      ("queries",
+       rows s.queries (fun (name, q) ->
+           Json.Obj
+             [ ("query", str name); ("evals", int q.evals);
+               ("seconds", num q.query_seconds) ]));
+      ("phases",
+       rows s.phases (fun (name, p) ->
+           Json.Obj
+             [ ("phase", str name); ("calls", int p.calls);
+               ("seconds", num p.phase_seconds) ]));
+      ("plans",
+       rows s.plans (fun (scope, l) ->
+           Json.Obj [ ("rule", str scope); ("plans", rows l str) ])) ]

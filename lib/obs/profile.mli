@@ -165,7 +165,9 @@ val selectivity : atom_stat -> float
 val total_rule_seconds : snapshot -> float
 val total_query_seconds : snapshot -> float
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Json.t
 (** Self-contained JSON object with ["rules"], ["atoms"] (each row
     carrying a derived ["selectivity"]), ["rounds"], ["queries"],
-    ["phases"] and ["plans"] arrays, each sorted by key. *)
+    ["phases"] and ["plans"] arrays, each sorted by key.  Printed with
+    {!Json.to_string}, seconds and selectivities parse back to the same
+    floats. *)

@@ -115,33 +115,33 @@ let micros s = s *. 1e6
 
 let event_json ev =
   let args =
-    String.concat ","
-      (Printf.sprintf "\"depth\":%d" ev.depth
-      :: List.map
-           (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-           ev.attrs)
+    Json.Obj
+      (("depth", Json.int ev.depth)
+      :: List.map (fun (k, v) -> (k, Json.Str v)) ev.attrs)
   in
-  if ev.dur = 0. && ev.depth = 0 then
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"mdqa\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-      (Json.escape ev.name) (micros ev.ts) args
-  else
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"mdqa\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-      (Json.escape ev.name) (micros ev.ts) (micros ev.dur) args
+  let timing =
+    if ev.dur = 0. && ev.depth = 0 then
+      [ ("ph", Json.Str "i"); ("s", Json.Str "t");
+        ("ts", Json.Num (micros ev.ts)) ]
+    else
+      [ ("ph", Json.Str "X"); ("ts", Json.Num (micros ev.ts));
+        ("dur", Json.Num (micros ev.dur)) ]
+  in
+  Json.Obj
+    ((("name", Json.Str ev.name) :: ("cat", Json.Str "mdqa") :: timing)
+    @ [ ("pid", Json.int 1); ("tid", Json.int 1); ("args", args) ])
 
 let export_json t =
-  let evs = events t in
-  Printf.sprintf
-    "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}"
-    (String.concat "," (List.map event_json evs))
-    (dropped t)
+  Json.Obj
+    [ ("traceEvents", Json.List (List.map event_json (events t)));
+      ("displayTimeUnit", Json.Str "ms");
+      ("otherData",
+       Json.Obj [ ("dropped", Json.Str (string_of_int (dropped t))) ]) ]
 
 let export_file t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (export_json t);
+      output_string oc (Json.to_string (export_json t));
       output_char oc '\n')

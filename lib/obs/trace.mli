@@ -59,10 +59,12 @@ val depth : t -> int
 
 val clear : t -> unit
 
-val export_json : t -> string
+val export_json : t -> Json.t
 (** Chrome trace-event JSON ([{"traceEvents":[...]}], `ph:"X"`
-    complete events, timestamps in microseconds) — loadable by
-    chrome://tracing and Perfetto. *)
+    complete events, timestamps in microseconds at full float
+    precision) — loadable by chrome://tracing and Perfetto once printed
+    with {!Json.to_string}. *)
 
 val export_file : t -> string -> unit
-(** [export_file t path] writes [export_json t] to [path]. *)
+(** [export_file t path] writes [Json.to_string (export_json t)] and a
+    newline to [path]. *)

@@ -508,45 +508,28 @@ let repair ?resync ~path () =
 module Json = Mdqa_obs.Json
 
 let to_json r =
-  let buf = Buffer.create 512 in
-  let str s = Printf.sprintf "\"%s\"" (Json.escape s) in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"path\":%s,\"status\":%s,\"repaired\":%b,"
-       (str r.path)
-       (str (status_name r.status))
-       r.repaired);
-  Buffer.add_string buf
-    (Printf.sprintf "\"generations\":%d,\"plan\":%s," r.generations
-       (match r.plan with Some p -> str p | None -> "null"));
-  Buffer.add_string buf "\"damage\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"file\":%s,\"kind\":%s,\"offset\":%d,\"reason\":%s}"
-           (str d.file)
-           (str (kind_name d.kind))
-           d.offset (str d.reason)))
-    r.damage;
-  Buffer.add_string buf "],\"quarantined\":[";
-  List.iteri
-    (fun i q ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (str q))
-    r.quarantined;
-  Buffer.add_string buf "],\"info\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (str l))
-    r.infos;
-  (* the diagnostics ride as the same object `mdqa check --json` emits,
-     so downstream tooling shares one parser *)
-  Buffer.add_string buf "],\"report\":";
-  Buffer.add_string buf (Diag.to_json ~file:r.path r.diags);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  Json.Obj
+    [ ("path", Json.Str r.path);
+      ("status", Json.Str (status_name r.status));
+      ("repaired", Json.Bool r.repaired);
+      ("generations", Json.int r.generations);
+      ("plan", Option.fold ~none:Json.Null ~some:(fun p -> Json.Str p) r.plan);
+      ("damage",
+       Json.List
+         (List.map
+            (fun d ->
+              Json.Obj
+                [ ("file", Json.Str d.file);
+                  ("kind", Json.Str (kind_name d.kind));
+                  ("offset", Json.int d.offset);
+                  ("reason", Json.Str d.reason) ])
+            r.damage));
+      ("quarantined", strs r.quarantined);
+      ("info", strs r.infos);
+      (* the diagnostics ride as the same object `mdqa check --json`
+         emits, so downstream tooling shares one parser *)
+      ("report", Diag.to_json ~file:r.path r.diags) ]
 
 let print_text r =
   List.iter print_endline r.infos;

@@ -96,10 +96,11 @@ val kind_name : damage_kind -> string
 
 val status_name : status -> string
 
-val to_json : report -> string
-(** One JSON object: path, status, repaired, generations, plan, damage,
-    quarantined files, info lines, and the diagnostics as the same
-    ["report"] object [mdqa check --json] emits. *)
+val to_json : report -> Mdqa_obs.Json.t
+(** One JSON object, printed by {!Mdqa_obs.Json.to_string}: path,
+    status, repaired, generations, plan, damage, quarantined files, info
+    lines, and the diagnostics as the same ["report"] object
+    [mdqa check --json] emits. *)
 
 val print_text : report -> unit
 (** Human-readable rendering to stdout: info lines, one diagnostic per

@@ -162,11 +162,10 @@ let prop_spans_survive_exceptions =
 let test_json_escape_bytes () =
   let raw = "q\"b\\s\nn\rr\tt\x01\x1f\x7f\xc3\xa9" in
   let esc = "q\\\"b\\\\s\\nn\\rr\\tt\\u0001\\u001f\x7f\xc3\xa9" in
-  Alcotest.(check string) "escape" esc (Mdqa_obs.Json.escape raw);
-  let buf = Buffer.create 8 in
-  Buffer.add_char buf '<';
-  Mdqa_obs.Json.add_escaped buf raw;
-  Alcotest.(check string) "add_escaped appends" ("<" ^ esc) (Buffer.contents buf);
+  Alcotest.(check string) "escape" ("\"" ^ esc ^ "\"")
+    (Jsonl.to_string (Jsonl.Str raw));
+  Alcotest.(check string) "escaped key" ("{\"" ^ esc ^ "\":null}")
+    (Jsonl.to_string (Jsonl.Obj [ (raw, Jsonl.Null) ]));
   match Jsonl.parse ("\"" ^ esc ^ "\"") with
   | Ok (Jsonl.Str s) -> Alcotest.(check string) "round trip" raw s
   | _ -> Alcotest.fail "escaped string must parse back"
@@ -183,7 +182,7 @@ let test_export_is_valid_json () =
       Trace.with_span "outer" ~attrs:[ ("k", "v \"quoted\"") ] (fun () ->
           Trace.with_span "inner" (fun () -> ());
           Trace.instant "mark"));
-  match Jsonl.parse (Trace.export_json tr) with
+  match Jsonl.parse (Jsonl.to_string (Trace.export_json tr)) with
   | Error e -> Alcotest.failf "export does not parse: %s" e
   | Ok json ->
     let events =
@@ -206,6 +205,33 @@ let test_export_is_valid_json () =
         | other ->
           Alcotest.failf "unexpected ph %s" (Option.value ~default:"-" other))
       events
+
+(* Timestamps print through the one JSON number printer, so a
+   microsecond value that is not a whole number parses back unchanged. *)
+let test_export_ts_round_trip () =
+  let ticks = ref [ 0.; 0.1 +. 0.2 ] in
+  let clock () =
+    match !ticks with
+    | t :: rest ->
+      if rest <> [] then ticks := rest;
+      t
+    | [] -> 0.
+  in
+  let tr = Trace.create ~clock () in
+  Trace.install tr;
+  Fun.protect ~finally:Trace.uninstall (fun () -> Trace.instant "mark");
+  let want = (List.hd (Trace.events tr)).Trace.ts *. 1e6 in
+  let ts =
+    match Jsonl.parse (Jsonl.to_string (Trace.export_json tr)) with
+    | Ok json -> (
+      match Option.bind (Jsonl.member "traceEvents" json) Jsonl.to_list with
+      | Some [ ev ] -> Jsonl.num_field "ts" ev
+      | _ -> None)
+    | Error _ -> None
+  in
+  Alcotest.(check bool) "ts is not a whole microsecond" false
+    (Float.is_integer want);
+  Alcotest.(check (option (float 0.))) "ts parses back" (Some want) ts
 
 let test_ring_buffer_drops_oldest () =
   let tr = Trace.create ~capacity:4 () in
@@ -420,12 +446,29 @@ let prop_profile_json_parses =
   QCheck.Test.make ~name:"to_json is valid JSON with all sections"
     ~count:100 obs_list_arb (fun a ->
       let s = profile_snapshot_of a in
-      match Jsonl.parse (Profile.to_json s) with
+      match Jsonl.parse (Jsonl.to_string (Profile.to_json s)) with
       | Error _ -> false
       | Ok json ->
         List.for_all
           (fun k -> Jsonl.member k json <> None)
           [ "rules"; "atoms"; "rounds"; "queries"; "phases" ])
+
+(* The profile's seconds print through the one JSON number printer and
+   parse back to the very float that was accumulated. *)
+let test_profile_json_numbers_round_trip () =
+  let secs = 0.1 +. 0.2 in
+  let p = Profile.create ~clock:(fun () -> 0.) () in
+  Profile.add_rule_seconds (Profile.rule p "r") secs;
+  let text = Jsonl.to_string (Profile.to_json (Profile.snapshot p)) in
+  let seconds =
+    match Jsonl.parse text with
+    | Ok json -> (
+      match Option.bind (Jsonl.member "rules" json) Jsonl.to_list with
+      | Some [ row ] -> Jsonl.num_field "seconds" row
+      | _ -> None)
+    | Error _ -> None
+  in
+  Alcotest.(check (option (float 0.))) "rule seconds" (Some secs) seconds
 
 let test_profile_scope_discipline () =
   let p = Profile.create ~clock:(fun () -> 0.) () in
@@ -740,6 +783,8 @@ let suites =
       props [ prop_spans_survive_exceptions ]
       @ [ case "one JSON string escaper" test_json_escape_bytes;
           case "export is valid trace JSON" test_export_is_valid_json;
+          case "timestamps survive the JSON round trip"
+            test_export_ts_round_trip;
           case "ring buffer drops oldest" test_ring_buffer_drops_oldest ] );
     ( "obs.logger",
       [ case "JSONL records and level filtering" test_logger_json_and_levels;
@@ -750,7 +795,9 @@ let suites =
         [ prop_profile_merge_commutative; prop_profile_merge_associative;
           prop_profile_merge_identity; prop_profile_merge_counts_sum;
           prop_profile_json_parses ]
-      @ [ case "scope discipline" test_profile_scope_discipline;
+      @ [ case "numbers survive the JSON round trip"
+            test_profile_json_numbers_round_trip;
+          case "scope discipline" test_profile_scope_discipline;
           case "off is transparent" test_profile_off_is_transparent;
           case "hospital assessment attributes every used rule"
             test_profile_attributes_hospital_rules;
