@@ -116,9 +116,15 @@ val assess_incremental :
 (** Incremental re-assessment after new tuples arrive in the original
     instance D: [added] pairs relation names of D with new tuples.  The
     mapped contextual copies are computed and the chase is {e extended}
-    from the prior result ({!Mdqa_datalog.Chase.extend}) — work is
-    proportional to the consequences of the new data.  The prior
-    assessment must be saturated; otherwise a full {!assess} runs. *)
+    from the prior result ({!Mdqa_datalog.Chase.extend}).  The prior
+    assessment must be saturated; otherwise a full {!assess} runs.
+
+    The work is proportional to the consequences of the new data, with
+    two exceptions that stay proportional to the instance: when the
+    assessment records provenance, its table is copied
+    ([Hashtbl.copy]); and every EGD and negative constraint of the
+    context is re-checked in full.  The instance copies themselves are
+    O(relations): they share the prior's indexes. *)
 
 val quality_version :
   ?partial:bool ->

@@ -39,6 +39,7 @@ type result = {
   outcome : outcome;
   stats : stats;
   provenance : ((string * Tuple.t), derivation) Hashtbl.t option;
+  null_base : int;
 }
 
 type checkpoint = {
@@ -62,16 +63,20 @@ let zero_stats =
 
 exception Stop of outcome
 
-(* Largest null label in the instance, so fresh nulls never collide. *)
-let max_null_id inst =
-  let m = ref 0 in
-  Instance.iter_facts
-    (fun _ t ->
-      List.iter
-        (function Value.Null k -> m := max !m k | _ -> ())
-        (Tuple.to_list t))
-    inst;
-  !m
+(* One past the largest null label among the tuples [iter] visits, and
+   at least [floor]: fresh nulls from there on never collide with them. *)
+let null_bound floor iter =
+  let m = ref (floor - 1) in
+  let note = function Value.Null k when k > !m -> m := k; false | _ -> false in
+  iter (fun t -> ignore (Tuple.exists note t));
+  !m + 1
+
+(* The one scan of a fresh run or a resume: the caller's instance and
+   the program facts merged into it. *)
+let scan_nulls floor program inst =
+  null_bound floor (fun f ->
+      List.iter (fun a -> f (Atom.to_tuple a)) program.Program.facts;
+      Instance.iter_facts (fun _ t -> f t) inst)
 
 (* A trigger identity for the oblivious chase: rule name plus the image
    of its body under the match. *)
@@ -83,7 +88,7 @@ let trigger_key (tgd : Tgd.t) subst =
 
 let run_internal ?(variant = Restricted) ?(semi_naive = true)
     ?(provenance = false) ?seed ?prior_provenance ?guard ?max_steps
-    ?max_nulls ?checkpoint ?null_base ?prior_stats ?metrics program start =
+    ?max_nulls ?checkpoint ?prior_stats ?metrics ~null_base program start =
   let guard =
     match guard with
     | Some g -> g
@@ -98,14 +103,10 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
   List.iter
     (fun f -> ignore (Instance.add_tuple inst (Atom.pred f) (Atom.to_tuple f)))
     program.Program.facts;
-  (* Fresh nulls must dodge both the nulls visible in the instance and
-     (on resume) every null the prior run ever invented — a persisted
-     [null_base] covers nulls that were merged away. *)
-  let fresh =
-    Value.Fresh.create
-      ~start:(max (max_null_id inst + 1) (Option.value ~default:0 null_base))
-      ()
-  in
+  (* [null_base] is above every null of [start], the program facts and
+     the seed, and (on resume or extend) every null the prior run ever
+     invented, including those merged away. *)
+  let fresh = Value.Fresh.create ~start:null_base () in
   let prior = Option.value ~default:zero_stats prior_stats in
   let ck f = match checkpoint with Some c -> f c | None -> () in
   let prov : ((string * Tuple.t), derivation) Hashtbl.t option =
@@ -216,43 +217,36 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
         end
     in
     if proceed then begin
-      let do_fire () =
-        let head = instantiate_head tgd subst in
-        let new_fact = ref false in
-        let premises =
-          lazy
-            (List.map
-               (fun a ->
-                 let ga = Subst.apply_atom subst a in
-                 (Atom.pred ga, Atom.to_tuple ga))
-               tgd.Tgd.body)
-        in
-        List.iter
-          (fun a ->
-            let t = Atom.to_tuple a in
-            if Instance.add_tuple inst (Atom.pred a) t then begin
-              new_fact := true;
-              Metrics.inc c_facts;
-              ck (fun c -> c.on_fact (Atom.pred a) t);
-              (match prov with
-               | Some tbl ->
-                 if not (Hashtbl.mem tbl (Atom.pred a, t)) then
-                   Hashtbl.replace tbl (Atom.pred a, t)
-                     { rule = tgd.Tgd.name; premises = Lazy.force premises }
-               | None -> ());
-              stamp (Atom.pred a) t
-            end)
-          head;
-        if !new_fact then begin
-          Metrics.inc c_fires;
-          match prof_h with Some h -> Profile.add_fire h | None -> ()
-        end
+      let head = instantiate_head tgd subst in
+      let new_fact = ref false in
+      let premises =
+        lazy
+          (List.map
+             (fun a ->
+               let ga = Subst.apply_atom subst a in
+               (Atom.pred ga, Atom.to_tuple ga))
+             tgd.Tgd.body)
       in
-      if Trace.active () then
-        Trace.with_span "rule.fire"
-          ~attrs:[ ("rule", tgd.Tgd.name) ]
-          do_fire
-      else do_fire ()
+      List.iter
+        (fun a ->
+          let t = Atom.to_tuple a in
+          if Instance.add_tuple inst (Atom.pred a) t then begin
+            new_fact := true;
+            Metrics.inc c_facts;
+            ck (fun c -> c.on_fact (Atom.pred a) t);
+            (match prov with
+             | Some tbl ->
+               if not (Hashtbl.mem tbl (Atom.pred a, t)) then
+                 Hashtbl.replace tbl (Atom.pred a, t)
+                   { rule = tgd.Tgd.name; premises = Lazy.force premises }
+             | None -> ());
+            stamp (Atom.pred a) t
+          end)
+        head;
+      if !new_fact then begin
+        Metrics.inc c_fires;
+        match prof_h with Some h -> Profile.add_fire h | None -> ()
+      end
     end
   in
 
@@ -405,18 +399,37 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
               | Oblivious -> Tgd.body_vars tgd
             in
             let seen = Hashtbl.create 16 in
-            List.iter
-              (fun s ->
-                let key =
-                  List.filter_map
-                    (fun v -> Subst.value_of s v)
-                    (Term.Var_set.elements key_vars)
-                in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  fire_trigger ph tgd s
-                end)
-              triggers;
+            let trigger_loop () =
+              List.iter
+                (fun s ->
+                  let key =
+                    List.filter_map
+                      (fun v -> Subst.value_of s v)
+                      (Term.Var_set.elements key_vars)
+                  in
+                  if not (Hashtbl.mem seen key) then begin
+                    Hashtbl.add seen key ();
+                    fire_trigger ph tgd s
+                  end)
+                triggers
+            in
+            (* One [rule.fire] span per rule per round, around a loop
+               that runs at least one trigger; per-fire attribution is
+               the profiler's job. *)
+            (match Trace.installed () with
+             | Some tr when triggers <> [] ->
+               let fires0 = Metrics.counter_value c_fires in
+               let sp =
+                 Trace.span_begin tr ~attrs:[ ("rule", tgd.Tgd.name) ]
+                   "rule.fire"
+               in
+               Fun.protect trigger_loop ~finally:(fun () ->
+                   Trace.span_end tr sp
+                     ~attrs:
+                       [ ( "fires",
+                           string_of_int
+                             (Metrics.counter_value c_fires - fires0) ) ])
+             | _ -> trigger_loop ());
             match prof, ph with
             | Some p, Some h ->
               Profile.add_rule_seconds h (Profile.now p -. t0)
@@ -454,34 +467,41 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
   in
   let stats = current_stats () in
   ck (fun c -> c.on_done ~instance:inst outcome stats);
-  { instance = inst; outcome; provenance = prov; stats }
+  { instance = inst; outcome; provenance = prov; stats;
+    null_base = null_base + Value.Fresh.count fresh }
 
 let run ?variant ?semi_naive ?provenance ?guard ?max_steps ?max_nulls
     ?checkpoint ?metrics program start =
   run_internal ?variant ?semi_naive ?provenance ?guard ?max_steps ?max_nulls
-    ?checkpoint ?metrics program start
+    ?checkpoint ?metrics ~null_base:(scan_nulls 1 program start) program start
 
 let resume ?variant ?semi_naive ?guard ?max_steps ?max_nulls ?checkpoint
-    ?frontier ?null_base ?prior_stats ?metrics program image =
+    ?frontier ?(null_base = 1) ?prior_stats ?metrics program image =
   (* An empty frontier would make the seeded first round see nothing
      new whatever the image contains; a full first round is the safe
      (and cheap, if truly saturated) interpretation. *)
   let seed = match frontier with Some (_ :: _ as l) -> Some l | _ -> None in
   run_internal ?variant ?semi_naive ?guard ?max_steps ?max_nulls ?checkpoint
-    ?seed ?null_base ?prior_stats ?metrics program image
+    ?seed ?prior_stats ?metrics
+    ~null_base:(scan_nulls null_base program image)
+    program image
 
 let extend ?guard ?max_steps ?max_nulls ?metrics program (prior : result)
     ~facts =
+  (* The prior mark covers the prior instance and the program facts;
+     only the new facts need a look. *)
+  let null_base =
+    null_bound prior.null_base (fun f -> List.iter (fun (_, t) -> f t) facts)
+  in
   match prior.outcome with
   | Saturated ->
     run_internal ~seed:facts ?prior_provenance:prior.provenance
-      ?guard ?max_steps ?max_nulls ?metrics program prior.instance
+      ?guard ?max_steps ?max_nulls ?metrics ~null_base program prior.instance
   | _ ->
     let inst = Instance.copy prior.instance in
     List.iter (fun (pred, t) -> ignore (Instance.add_tuple inst pred t)) facts;
     run_internal ?guard ?max_steps ?max_nulls ?metrics
-      ~provenance:(prior.provenance <> None)
-      program inst
+      ~provenance:(prior.provenance <> None) ~null_base program inst
 
 let pp_outcome ppf = function
   | Saturated -> Format.pp_print_string ppf "saturated"

@@ -70,6 +70,11 @@ type result = {
       (** when requested: for every fact {e derived} by a TGD firing,
           its first derivation.  Facts absent from the table are
           extensional.  EGD merges remap recorded facts consistently. *)
+  null_base : int;
+      (** the null mark: every null label this run saw or invented,
+          including those an EGD merged away, lies below it.  It is the
+          number a checkpoint store persists as its [null_base], and
+          where {!extend} starts inventing. *)
 }
 
 type checkpoint = {
@@ -130,7 +135,9 @@ val run :
     per-run baseline, so a long-lived shared registry (e.g. the
     server's) accumulates across runs while each result still reports
     its own run.  When a {!Mdqa_obs.Trace} tracer is installed,
-    [chase.round], [rule.fire] and [egd.merge] spans are emitted. *)
+    [chase.round], [rule.fire] and [egd.merge] spans are emitted: one
+    [rule.fire] per rule per round whose trigger loop ran at least one
+    trigger, with [rule] and [fires] attributes. *)
 
 val resume :
   ?variant:variant ->
@@ -171,12 +178,21 @@ val extend :
   result
 (** Incremental chase: add [facts] to an already-saturated chase result
     and continue semi-naive rounds with those facts seeded as every
-    rule's first delta, as {!resume} seeds its frontier — the work is
-    proportional to the consequences of the new facts, not to the whole
-    instance.  The given result's instance is not mutated; its
-    provenance table (if any) is carried over and extended.
+    rule's first delta, as {!resume} seeds its frontier.  The given
+    result's instance is not mutated; its provenance table (if any) is
+    carried over and extended.
     Precondition: [result] was produced by {!run} on the same program
     and is [Saturated] (otherwise the outcome of a full {!run} is
-    returned instead). *)
+    returned instead).
+
+    Cost: the rounds enumerate only matches that involve a new fact, and
+    the instance copy is O(relations): each relation shares the prior's
+    indexes ({!Mdqa_relational.Relation.copy}), so probing them
+    rebuilds nothing.  Fresh nulls start at the larger of the prior
+    result's [null_base] and one past the largest null among [facts],
+    so no scan of the prior instance is needed.  Still proportional to
+    the instance: the provenance table is copied when there is one,
+    and every EGD and negative constraint is re-checked in full after
+    the new facts are added. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -11,6 +11,7 @@ exception
 type state = {
   mutable toks : (Lexer.token * Lexer.pos) list;
   mutable last_pos : Lexer.pos;
+  mutable rules : int;  (* TGDs parsed so far, for their names *)
 }
 
 let fail_at ?(code = "E002") (pos : Lexer.pos) message =
@@ -161,14 +162,13 @@ let wrap_invalid pos f =
   try f () with Invalid_argument m -> fail_at ~code:"E003" pos m
 
 (* Parsed rules are named after their head predicate (for readable
-   diagnostics and provenance), suffixed for uniqueness. *)
-let rule_counter = ref 0
-
-let rule_name head =
-  incr rule_counter;
+   diagnostics and provenance), suffixed with their number in the
+   document: unique within it, and the same in every process. *)
+let rule_name st head =
+  st.rules <- st.rules + 1;
   match head with
-  | a :: _ -> Printf.sprintf "%s/%d" (Atom.pred a) !rule_counter
-  | [] -> Printf.sprintf "rule/%d" !rule_counter
+  | a :: _ -> Printf.sprintf "%s/%d" (Atom.pred a) st.rules
+  | [] -> Printf.sprintf "rule/%d" st.rules
 
 (* statement :=
    | '!' ':-' body '.'
@@ -242,7 +242,7 @@ let parse_statement st =
       if atoms = [] then
         fail_at ~code:"E003" pos "TGD body needs at least one atom";
       wrap_invalid pos (fun () ->
-          S_tgd (Tgd.make ~name:(rule_name head) ~body:atoms ~head ()))
+          S_tgd (Tgd.make ~name:(rule_name st head) ~body:atoms ~head ()))
     | other, p ->
       fail_at p
         (Printf.sprintf "expected '.' or ':-', found %s"
@@ -278,7 +278,7 @@ module Raw = struct
         with Lexer.Error { line; col; message } ->
           raise (Error { line; col; code = "E001"; message }))
     in
-    { toks; last_pos = { Lexer.line = 1; col = 1 } }
+    { toks; last_pos = { Lexer.line = 1; col = 1 }; rules = 0 }
 
   let at_eof st = match peek st with Lexer.EOF, _ -> true | _ -> false
   let peek = peek

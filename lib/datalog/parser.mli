@@ -15,7 +15,10 @@
     v}
 
     Constants are lowercase identifiers, quoted strings or numbers;
-    variables start with an uppercase letter or [_].
+    variables start with an uppercase letter or [_].  A TGD is named
+    [p/n] after its first head predicate [p] and its number [n] among
+    the TGDs of the parsed document, so the same document gets the same
+    names in any process.
 
     Two entry styles are provided: the historical fail-fast one
     ({!parse_string}, raising {!Error} on the first problem) and the

@@ -10,7 +10,14 @@ module Key = Hashtbl.Make (struct
   let hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
 end)
 
-type index = { positions : int array; buckets : Tuple.t list ref Key.t }
+type table = { positions : int array; buckets : Tuple.t list ref Key.t }
+
+(* The indexes of one insertion history, shared by a relation and its
+   copies.  [count] is the number of inserts the tables hold; the view
+   whose own [inserts] equals it holds exactly those tuples and so owns
+   the tables.  A view that has fallen behind (another view appended
+   since) or has removed or rewritten tuples forks to a fresh set. *)
+type shared = { mutable count : int; mutable tables : table list }
 
 (* HyperLogLog with [registers] 6-bit registers per position, stored
    [registers] bytes per position in one [Bytes.t]. *)
@@ -20,13 +27,28 @@ type t = {
   schema : Rel_schema.t;
   mutable tuples : Tuple.Set.t;
   mutable size : int;
-  mutable indexes : index list;  (* one per probed position set, built lazily *)
+  mutable inserts : int;  (* successful adds in this view's history *)
+  mutable shared : shared;  (* one table per probed position set, lazily *)
+  mutable handles : index list;  (* this view's, one per position set *)
   sketch : Bytes.t;
 }
 
+(* A handle remembers the history it was resolved in; a probe through a
+   view that no longer owns it re-resolves first. *)
+and index = {
+  view : t;
+  cols : int array;
+  mutable owner : shared;
+  mutable table : table;
+}
+
 let create schema =
-  { schema; tuples = Tuple.Set.empty; size = 0; indexes = [];
+  { schema; tuples = Tuple.Set.empty; size = 0; inserts = 0;
+    shared = { count = 0; tables = [] }; handles = [];
     sketch = Bytes.make (registers * Rel_schema.arity schema) '\000' }
+
+let owns r = r.inserts = r.shared.count
+let fork r = r.shared <- { count = r.inserts; tables = [] }
 
 let schema r = r.schema
 let name r = Rel_schema.name r.schema
@@ -36,11 +58,11 @@ let is_empty r = r.size = 0
 
 let key_of positions t = Array.map (Tuple.get t) positions
 
-let index_insert ix t =
-  let key = key_of ix.positions t in
-  match Key.find_opt ix.buckets key with
+let table_insert tb t =
+  let key = key_of tb.positions t in
+  match Key.find_opt tb.buckets key with
   | Some b -> b := t :: !b
-  | None -> Key.add ix.buckets key (ref [ t ])
+  | None -> Key.add tb.buckets key (ref [ t ])
 
 (* Register j of position p takes the largest rank (1 + trailing zero
    bits above the 6 register bits) of any value hashed into it. *)
@@ -87,9 +109,12 @@ let add r t =
   check_arity r t;
   if Tuple.Set.mem t r.tuples then false
   else begin
+    if not (owns r) then fork r;
     r.tuples <- Tuple.Set.add t r.tuples;
     r.size <- r.size + 1;
-    List.iter (fun ix -> index_insert ix t) r.indexes;
+    r.inserts <- r.inserts + 1;
+    r.shared.count <- r.inserts;
+    List.iter (fun tb -> table_insert tb t) r.shared.tables;
     sketch_add r.sketch t;
     true
   end
@@ -106,10 +131,11 @@ let remove r t =
   else begin
     r.tuples <- Tuple.Set.remove t r.tuples;
     r.size <- r.size - 1;
-    (* Dropping the indexes is simpler than deleting from buckets;
-       removals are rare (EGD merges rebuild wholesale).  The sketch
-       keeps the value: a distinct count may only overestimate. *)
-    r.indexes <- [];
+    (* Forking to fresh indexes is simpler than deleting from buckets,
+       and leaves the tables of the other views alone; removals are
+       rare (EGD merges rebuild wholesale).  The sketch keeps the
+       value: a distinct count may only overestimate. *)
+    fork r;
     true
   end
 
@@ -118,17 +144,39 @@ let fold f r init = Tuple.Set.fold f r.tuples init
 let to_list r = Tuple.Set.elements r.tuples
 let to_set r = r.tuples
 
-let index r positions =
-  match List.find_opt (fun ix -> ix.positions = positions) r.indexes with
-  | Some ix -> ix
+(* The view's table on [positions], forking first if it does not own
+   its history's tables. *)
+let resolve r positions =
+  if not (owns r) then fork r;
+  match List.find_opt (fun tb -> tb.positions = positions) r.shared.tables with
+  | Some tb -> tb
   | None ->
-    let ix = { positions; buckets = Key.create (max 16 r.size) } in
-    Tuple.Set.iter (index_insert ix) r.tuples;
-    r.indexes <- ix :: r.indexes;
+    let tb = { positions; buckets = Key.create (max 16 r.size) } in
+    Tuple.Set.iter (table_insert tb) r.tuples;
+    r.shared.tables <- tb :: r.shared.tables;
+    tb
+
+let refresh ix =
+  let r = ix.view in
+  if not (r.shared == ix.owner && owns r) then begin
+    ix.table <- resolve r ix.cols;
+    ix.owner <- r.shared
+  end
+
+let index r positions =
+  match List.find_opt (fun ix -> ix.cols = positions) r.handles with
+  | Some ix ->
+    refresh ix;
+    ix
+  | None ->
+    let table = resolve r positions in
+    let ix = { view = r; cols = positions; owner = r.shared; table } in
+    r.handles <- ix :: r.handles;
     ix
 
 let probe ix key =
-  match Key.find_opt ix.buckets key with Some b -> !b | None -> []
+  refresh ix;
+  match Key.find_opt ix.table.buckets key with Some b -> !b | None -> []
 
 let scan r binding =
   match binding with
@@ -145,7 +193,7 @@ let map_values r f =
   in
   r.tuples <- tuples';
   r.size <- Tuple.Set.cardinal tuples';
-  r.indexes <- [];
+  fork r;
   Bytes.fill r.sketch 0 (Bytes.length r.sketch) '\000';
   Tuple.Set.iter (sketch_add r.sketch) tuples'
 
@@ -154,9 +202,7 @@ let filter p r =
   iter (fun t -> if p t then ignore (add r' t)) r;
   r'
 
-let copy r =
-  { schema = r.schema; tuples = r.tuples; size = r.size; indexes = [];
-    sketch = Bytes.copy r.sketch }
+let copy r = { r with handles = []; sketch = Bytes.copy r.sketch }
 
 let equal a b =
   Rel_schema.equal a.schema b.schema && Tuple.Set.equal a.tuples b.tuples

@@ -5,7 +5,17 @@
     is keyed by an exact set of positions (position set → values at
     those positions → tuples); it is built on the first probe of that
     position set and maintained on every insertion, so a probe returns
-    exactly the matching tuples with no filtering afterwards.  Each
+    exactly the matching tuples with no filtering afterwards.
+
+    A {!copy} shares its original's indexes instead of rebuilding them.
+    The views of one insertion history (an original and its copies)
+    share one index set, owned by the view that inserted last: it keeps
+    extending the indexes in O(1) per insertion.  A view that falls
+    behind (another view of its history inserted since), or that runs
+    {!remove} or {!map_values}, moves to a fresh index set of its own,
+    rebuilt lazily on its next {!index} or {!probe}.  So a chain of
+    copy-then-insert steps, like an extended chase, never rebuilds an
+    index, and no view ever sees another view's tuples.  Each
     position also keeps a small HyperLogLog sketch of its distinct
     values, updated in O(1) on insertion, which lets a join planner
     estimate fan-out without scanning the relation or building an
@@ -30,7 +40,8 @@ val add : t -> Tuple.t -> bool
 
 val mem : t -> Tuple.t -> bool
 val remove : t -> Tuple.t -> bool
-(** Returns [true] iff the tuple was present. *)
+(** Returns [true] iff the tuple was present.  A removal moves the
+    relation to a fresh index set. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
@@ -46,13 +57,20 @@ val index : t -> int array -> index
 (** [index r positions] is the index keyed by exactly [positions]
     (distinct positions; [\[|1; 0|\]] and [\[|0; 1|\]] are two indexes,
     so callers list them ascending), built from the current tuples on
-    first use and maintained by {!add} afterwards.  A handle stays
-    valid until {!remove} or {!map_values}, which drop every index. *)
+    first use and maintained by {!add} afterwards.  The index is shared
+    with the copies that own the same history (see above); if [r] does
+    not own its history's indexes, it first moves to a fresh set. *)
 
 val probe : index -> Value.t array -> Tuple.t list
-(** [probe ix key] is the bucket of tuples whose values at the index's
-    positions equal [key] (compared with {!Value.equal}), most recently
-    inserted first.  [key] is only read, so a caller may reuse it. *)
+(** [probe ix key] is the bucket of tuples of the relation [ix] was
+    taken from whose values at the index's positions equal [key]
+    (compared with {!Value.equal}), most recently inserted first.
+    A handle stays valid for the life of its relation: when the
+    relation no longer owns the index it was resolved in (a copy
+    inserted since, or the relation ran {!remove} or {!map_values}),
+    the probe first re-resolves it through {!index}, so it never
+    returns another view's tuples.  [key] is only read, so a caller
+    may reuse it. *)
 
 val scan : t -> (int * Value.t) list -> Tuple.t list
 (** [scan r binding] returns exactly the tuples agreeing with all
@@ -69,16 +87,18 @@ val distinct : t -> int -> int
     @raise Invalid_argument if [pos] is out of range. *)
 
 val map_values : t -> (Value.t -> Value.t) -> unit
-(** Rewrite every value in place through the function (drops the
-    indexes, rebuilds the sketch); used by EGD enforcement to merge
-    labeled nulls. *)
+(** Rewrite every value in place through the function (moves to a
+    fresh index set, rebuilds the sketch); used by EGD enforcement to
+    merge labeled nulls. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
 (** New relation (same schema) with the matching tuples. *)
 
 val copy : t -> t
-(** Shares the (immutable) tuple set, copies the sketch, starts with no
-    indexes. *)
+(** O(arity): shares the (immutable) tuple set and the index set,
+    copies the sketch.  Either side may then insert, remove or rewrite
+    without the other seeing it; the first to insert keeps the shared
+    indexes, the other rebuilds its own on demand. *)
 
 val equal : t -> t -> bool
 (** Same schema and same tuple set. *)

@@ -33,8 +33,22 @@ let sym s = Sym s
 let int i = Int i
 let real r = Real r
 
+(* [spells w s]: [s] is the lowercase word [w] in any case, with '_'
+   anywhere — how [float_of_string] reads [inf], [infinity] and [nan]
+   (it drops underscores, then ignores case). *)
+let spells w s =
+  let n = String.length s and m = String.length w in
+  let rec go i j =
+    if i = n then j = m
+    else if s.[i] = '_' then go (i + 1) j
+    else j < m && Char.lowercase_ascii s.[i] = w.[j] && go (i + 1) (j + 1)
+  in
+  go 0 0
+
 (* A symbol needs quoting when it could be mistaken for another lexical
-   class: numbers, nulls, or anything with spaces/punctuation. *)
+   class: numbers, nulls, or anything with spaces/punctuation.  A
+   leading letter rules out integers and nulls, but not the float
+   spellings above. *)
 let bare_symbol s =
   s <> ""
   && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
@@ -44,6 +58,7 @@ let bare_symbol s =
            true
          | _ -> false)
        s
+  && not (spells "inf" s || spells "infinity" s || spells "nan" s)
 
 let pp ppf = function
   | Sym s -> if bare_symbol s then Format.pp_print_string ppf s

@@ -30,8 +30,10 @@ val int : int -> t
 val real : float -> t
 
 val pp : Format.formatter -> t -> unit
-(** Nulls print as [⊥k]; symbols print bare (quoted if they contain
-    spaces or punctuation); numbers print canonically. *)
+(** Nulls print as [⊥k]; symbols print bare, quoted if they contain
+    spaces or punctuation or would read back as a number (["inf"],
+    ["NaN"], ["in_finity"]); numbers print canonically.  So
+    {!of_string} reads every printed symbol back as the same symbol. *)
 
 val to_string : t -> string
 

@@ -136,7 +136,8 @@ let load_replica ?guard ?breaker ?metrics ?(checkpoint_every = 64)
       { Chase.instance = r.Store.instance;
         outcome = Chase.Saturated;
         stats = r.Store.stats;
-        provenance = None }
+        provenance = None;
+        null_base = r.Store.null_base }
     in
     let st =
       Store.create ~guard ~metrics ?keep_generations ~path
@@ -162,16 +163,23 @@ let install_snapshot t (snap : Snapshot.t) =
     { Chase.instance = snap.Snapshot.instance;
       outcome = Chase.Saturated;
       stats = snap.Snapshot.stats;
-      provenance = None };
+      provenance = None;
+      null_base = snap.Snapshot.null_base };
   t.fixpoint_at <- Guard.Clock.now ();
   t.persisted <- true
 
 (* Replay freshly shipped journal records into the warm instance — the
    in-memory mirror of what [Store.load] does on disk.  [Fact] for a
    predicate the snapshot never declared can only mean the primary
-   declared it after the snapshot epoch; declare it here too. *)
+   declared it after the snapshot epoch; declare it here too.  The null
+   mark follows the shipped facts, as [Store.load]'s does. *)
 let apply_replicated t records =
   let inst = t.warm.Chase.instance in
+  let null_base = ref t.warm.Chase.null_base in
+  let note = function
+    | R.Value.Null k when k >= !null_base -> null_base := k + 1; false
+    | _ -> false
+  in
   List.iter
     (fun record ->
       match record with
@@ -186,13 +194,15 @@ let apply_replicated t records =
                     (fun i _ -> Printf.sprintf "a%d" (i + 1))
                     (R.Tuple.to_list tuple)))
         in
-        ignore (R.Relation.add rel tuple)
+        ignore (R.Relation.add rel tuple);
+        ignore (R.Tuple.exists note tuple)
       | Journal.Merge { from_; into } ->
         R.Instance.map_values inst (fun v ->
             if R.Value.equal v from_ then into else v)
       | Journal.Round { stats; _ } ->
         t.warm <- { t.warm with Chase.stats })
     records;
+  t.warm <- { t.warm with Chase.null_base = !null_base };
   t.fixpoint_at <- Guard.Clock.now ()
 
 (* --- checkpointing through the breaker ------------------------------- *)

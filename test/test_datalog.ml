@@ -966,6 +966,76 @@ let test_extend_detects_new_violation () =
    | Chase.Failed (Chase.Nc_violation _) -> ()
    | o -> Alcotest.failf "expected violation, got %a" Chase.pp_outcome o)
 
+(* Fresh nulls from [extend] start past the prior's null mark and past
+   every null among the new facts, so none collides with a null of the
+   seed facts, of the prior instance, or one an EGD merged away. *)
+let nulls_of inst =
+  let acc = ref [] in
+  R.Instance.iter_facts
+    (fun _ t ->
+      List.iter
+        (function R.Value.Null k -> acc := k :: !acc | _ -> ())
+        (R.Tuple.to_list t))
+    inst;
+  List.sort_uniq compare !acc
+
+let test_extend_fresh_nulls_avoid_seed () =
+  (* e(X,Y) -> ∃Z h(X,Z) and e(X,Y) -> ∃W k(X,W); EGD: h(X,Z), k(X,W)
+     -> Z = W merges the two invented nulls of each X *)
+  let p =
+    Program.make
+      ~tgds:
+        [ tgd [ atom "e" [ v "X"; v "Y" ] ] [ atom "h" [ v "X"; v "Z" ] ];
+          tgd [ atom "e" [ v "X"; v "Y" ] ] [ atom "k" [ v "X"; v "W" ] ] ]
+      ~egds:
+        [ Egd.make
+            ~body:[ atom "h" [ v "X"; v "Z" ]; atom "k" [ v "X"; v "W" ] ]
+            (v "Z") (v "W") ]
+      ()
+  in
+  let prior = Chase.run p (instance_of [ ("e", 2, [ [ "a"; "b" ] ]) ]) in
+  Alcotest.(check bool) "prior saturated" true
+    (prior.Chase.outcome = Chase.Saturated);
+  Alcotest.(check int) "one null survives the merge" 1
+    (List.length (nulls_of prior.Chase.instance));
+  Alcotest.(check int) "the mark covers the merged-away null" 3
+    prior.Chase.null_base;
+  let e x y = ("e", R.Tuple.of_list [ R.Value.sym x; y ]) in
+  let seeded = [ e "c" (R.Value.Null 2); e "d" (R.Value.Null 7) ] in
+  let r = Chase.extend p prior ~facts:seeded in
+  Alcotest.(check bool) "extension saturated" true
+    (r.Chase.outcome = Chase.Saturated);
+  let invented =
+    List.filter
+      (fun k ->
+        not (List.mem k (nulls_of prior.Chase.instance) || k = 2 || k = 7))
+      (nulls_of r.Chase.instance)
+  in
+  Alcotest.(check int) "one surviving fresh null per new e fact" 2
+    (List.length invented);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "fresh null %d is past the seed's nulls" k)
+        true (k > 7))
+    invented;
+  Alcotest.(check bool) "the mark covers every label" true
+    (List.for_all (fun k -> k < r.Chase.null_base) (nulls_of r.Chase.instance));
+  (* a second extension, with no null in its facts, continues from the
+     first one's mark *)
+  let r2 = Chase.extend p r ~facts:[ e "f" (R.Value.sym "g") ] in
+  match R.Relation.scan (R.Instance.get r2.Chase.instance "h")
+          [ (0, R.Value.sym "f") ] with
+  | [ t ] -> (
+    match R.Tuple.get t 1 with
+    | R.Value.Null k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "second-round null %d is past the first mark %d" k
+           r.Chase.null_base)
+        true (k >= r.Chase.null_base)
+    | _ -> Alcotest.fail "h(f, _) holds no null")
+  | _ -> Alcotest.fail "expected one h(f, _) fact"
+
 (* ------------------------------------------------------------------ *)
 (* Stickiness marking internals *)
 
@@ -1468,8 +1538,9 @@ let suites =
       [ case "extend matches full re-chase" test_extend_matches_full_rechase;
         case "extend checks fewer triggers" test_extend_cheaper_than_full;
         case "extend carries provenance" test_extend_carries_provenance;
-        case "extend detects new violations" test_extend_detects_new_violation
-      ] );
+        case "extend detects new violations" test_extend_detects_new_violation;
+        case "extend's fresh nulls avoid the seed's"
+          test_extend_fresh_nulls_avoid_seed ] );
     ( "datalog.stickiness",
       [ case "base marking step" test_marking_base_step;
         case "marking propagation" test_marking_propagation ] );

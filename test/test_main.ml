@@ -4,4 +4,4 @@ let () =
     @ Test_hospital.suites @ Test_telecom.suites @ Test_extensions.suites
     @ Test_tutorial.suites @ Test_guard.suites @ Test_diag.suites
     @ Test_store.suites @ Test_server.suites @ Test_replication.suites
-    @ Test_obs.suites @ Test_plan.suites)
+    @ Test_obs.suites @ Test_plan.suites @ Test_incremental.suites)

@@ -44,6 +44,28 @@ let test_value_string_roundtrip () =
         (Value.of_string (Value.to_string v)))
     cases
 
+(* Symbols spelled like floats: [float_of_string] reads [inf], [nan]
+   and [infinity] (any case), so printing them bare would read them
+   back as reals. *)
+let float_spelled =
+  [ "inf"; "nan"; "infinity"; "NaN"; "Infinity"; "INF"; "in_f"; "nan_" ]
+
+let test_value_float_spelled_symbols () =
+  List.iter
+    (fun s ->
+      let printed = Value.to_string (v_sym s) in
+      Alcotest.(check string) (s ^ " prints quoted") (Printf.sprintf "%S" s)
+        printed;
+      Alcotest.check value_testable (s ^ " reads back as a symbol") (v_sym s)
+        (Value.of_string printed))
+    float_spelled;
+  Alcotest.check value_testable "bare inf is still a real"
+    (Value.real infinity) (Value.of_string "inf");
+  List.iter
+    (fun s ->
+      Alcotest.(check string) (s ^ " stays bare") s (Value.to_string (v_sym s)))
+    [ "info"; "infinite"; "nano"; "n"; "i_n" ]
+
 let test_value_of_string_forms () =
   Alcotest.check value_testable "underscore null" (Value.Null 7)
     (Value.of_string "_:7");
@@ -192,6 +214,155 @@ let test_relation_remove () =
     (Relation.remove r (syms [ "x"; "1" ]));
   Alcotest.(check int) "empty" 0 (Relation.cardinal r)
 
+(* Copies share indexes.  [probe] hands out a bucket itself, so a
+   bucket physically equal to the original's was not rebuilt. *)
+let sorted l = List.sort Tuple.compare l
+
+let bucket_ref r k =
+  sorted
+    (List.filter (fun t -> Value.equal (Tuple.get t 0) k) (Relation.to_list r))
+
+let check_buckets what r ix =
+  List.iter
+    (fun k ->
+      Alcotest.(check (list tuple_testable))
+        (Format.asprintf "%s: bucket %a" what Value.pp k)
+        (bucket_ref r k)
+        (sorted (Relation.probe ix [| k |])))
+    [ v_sym "a"; v_sym "b"; v_sym "c" ]
+
+let test_relation_copy_shares_indexes () =
+  let r = Relation.create schema_ab in
+  for i = 0 to 29 do
+    ignore
+      (Relation.add r
+         (tup [ v_sym (if i mod 2 = 0 then "a" else "b"); v_int i ]))
+  done;
+  let ix_r = Relation.index r [| 0 |] in
+  let before = Relation.probe ix_r [| v_sym "a" |] in
+  let c = Relation.copy r in
+  let ix_c = Relation.index c [| 0 |] in
+  Alcotest.(check bool) "the copy probes the original's bucket" true
+    (Relation.probe ix_c [| v_sym "a" |] == before);
+  (* the copy inserts: it keeps the indexes, the original falls behind *)
+  ignore (Relation.add c (tup [ v_sym "a"; v_int 100 ]));
+  ignore (Relation.add c (tup [ v_sym "c"; v_int 101 ]));
+  Alcotest.(check bool) "the copy extends the shared bucket" true
+    (List.tl (Relation.probe ix_c [| v_sym "a" |]) == before);
+  check_buckets "copy after its adds" c ix_c;
+  check_buckets "original through its old handle" r ix_r;
+  check_buckets "original through a new handle" r (Relation.index r [| 0 |]);
+  (* the original inserts too: each side sees only its own tuples *)
+  ignore (Relation.add r (tup [ v_sym "a"; v_int 200 ]));
+  check_buckets "original after its add" r ix_r;
+  check_buckets "copy after the original's add" c ix_c;
+  Alcotest.(check bool) "the copy's tuple is not the original's" false
+    (Relation.mem r (tup [ v_sym "a"; v_int 100 ]));
+  (* remove on one side, then adds on both *)
+  let d = Relation.copy c in
+  let ix_d = Relation.index d [| 0 |] in
+  ignore (Relation.remove d (tup [ v_sym "a"; v_int 0 ]));
+  check_buckets "after remove" d ix_d;
+  check_buckets "the remover's source" c ix_c;
+  ignore (Relation.add c (tup [ v_sym "b"; v_int 300 ]));
+  ignore (Relation.add d (tup [ v_sym "b"; v_int 400 ]));
+  check_buckets "source after remove and adds" c ix_c;
+  check_buckets "remover after adds" d ix_d;
+  (* map_values on one side *)
+  let e = Relation.copy c in
+  let ix_e = Relation.index e [| 0 |] in
+  Relation.map_values e (fun v ->
+      if Value.equal v (v_sym "c") then v_sym "b" else v);
+  check_buckets "after map_values" e ix_e;
+  check_buckets "map_values leaves the source alone" c ix_c;
+  ignore (Relation.add c (tup [ v_sym "c"; v_int 500 ]));
+  check_buckets "source adds after a copy's map_values" c ix_c;
+  check_buckets "rewritten copy after the source's add" e ix_e
+
+(* Random interleavings of copy, add, remove, map_values and probe over
+   a family of views agree with a model holding one tuple set per
+   view. *)
+type view_op =
+  | Copy of int
+  | Add of int * int * int
+  | Remove of int * int * int
+  | Map of int
+  | Probe of int * int
+
+let prop_copies_never_leak =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (1, map (fun i -> Copy i) (0 -- 3));
+          (6, map3 (fun i a b -> Add (i, a, b)) (0 -- 3) (0 -- 3) (0 -- 9));
+          (1, map3 (fun i a b -> Remove (i, a, b)) (0 -- 3) (0 -- 3) (0 -- 9));
+          (1, map (fun i -> Map i) (0 -- 3));
+          (3, map2 (fun i a -> Probe (i, a)) (0 -- 3) (0 -- 3)) ])
+  in
+  let print = function
+    | Copy i -> Printf.sprintf "copy %d" i
+    | Add (i, a, b) -> Printf.sprintf "add %d (%d,%d)" i a b
+    | Remove (i, a, b) -> Printf.sprintf "remove %d (%d,%d)" i a b
+    | Map i -> Printf.sprintf "map %d" i
+    | Probe (i, a) -> Printf.sprintf "probe %d %d" i a
+  in
+  QCheck.Test.make ~name:"Relation copies never leak tuples" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (0 -- 40) op_gen))
+    (fun ops ->
+      let t a b = tup [ v_int a; v_int b ] in
+      let views = ref [ Relation.create schema_ab ] in
+      (* handles taken before later copies stay in use *)
+      let handles = ref [ Relation.index (List.hd !views) [| 0 |] ] in
+      let model = ref [ Tuple.Set.empty ] in
+      let nth l i = List.nth l (i mod List.length l) in
+      let set i s =
+        model := List.mapi (fun j m -> if j = i then s else m) !model
+      in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          match op with
+          | Copy i ->
+            let i = i mod List.length !views in
+            let c = Relation.copy (List.nth !views i) in
+            views := !views @ [ c ];
+            handles := !handles @ [ Relation.index c [| 0 |] ];
+            model := !model @ [ List.nth !model i ]
+          | Add (i, a, b) ->
+            let i = i mod List.length !views in
+            ignore (Relation.add (List.nth !views i) (t a b));
+            set i (Tuple.Set.add (t a b) (List.nth !model i))
+          | Remove (i, a, b) ->
+            let i = i mod List.length !views in
+            ignore (Relation.remove (List.nth !views i) (t a b));
+            set i (Tuple.Set.remove (t a b) (List.nth !model i))
+          | Map i ->
+            (* fold the second column onto 0..4 *)
+            let i = i mod List.length !views in
+            let f = function Value.Int n -> Value.Int (n mod 5) | v -> v in
+            let m = List.nth !model i in
+            Relation.map_values (List.nth !views i) f;
+            set i
+              (Tuple.Set.map
+                 (fun tp -> tup [ Tuple.get tp 0; f (Tuple.get tp 1) ])
+                 m)
+          | Probe (i, a) ->
+            let h = nth !handles i and m = nth !model i in
+            let got = sorted (Relation.probe h [| v_int a |]) in
+            let want =
+              Tuple.Set.elements
+                (Tuple.Set.filter
+                   (fun tp -> Value.equal (Tuple.get tp 0) (v_int a))
+                   m)
+            in
+            if got <> want then ok := false)
+        ops;
+      !ok
+      && List.for_all2
+           (fun r m -> Tuple.Set.equal (Relation.to_set r) m)
+           !views !model)
+
 let test_instance_declare () =
   let i = Instance.create () in
   let r = Instance.declare i schema_ab in
@@ -274,6 +445,17 @@ let test_csv_roundtrip () =
   Alcotest.(check int) "cardinal" 2 (Relation.cardinal r');
   Alcotest.(check bool) "tuples preserved" true
     (Tuple.Set.equal (Relation.to_set r) (Relation.to_set r'))
+
+let test_csv_float_spelled_symbols () =
+  let schema = Rel_schema.of_names "m" [ "k"; "v" ] in
+  let r =
+    Relation.of_tuples schema
+      (List.mapi (fun i s -> tup [ v_int i; v_sym s ]) float_spelled
+      @ [ tup [ v_int 99; Value.real infinity ] ])
+  in
+  let r' = parse_csv_exn ~name:"m" (Csv_io.relation_to_string r) in
+  Alcotest.(check (list tuple_testable)) "tuples preserved"
+    (Relation.to_list r) (Relation.to_list r')
 
 let test_csv_quoting () =
   let cell = Csv_io.cell_of_value (v_sym "a,b") in
@@ -372,7 +554,8 @@ let prop_csv_roundtrip =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_value_compare_total; prop_value_roundtrip; prop_tuple_project_id;
-      prop_relation_add_idempotent; prop_csv_roundtrip ]
+      prop_relation_add_idempotent; prop_csv_roundtrip;
+      prop_copies_never_leak ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -381,6 +564,8 @@ let suites =
       [ case "ordering across kinds" test_value_order;
         case "null predicates" test_value_null_predicates;
         case "string roundtrip" test_value_string_roundtrip;
+        case "float-spelled symbols stay symbols"
+          test_value_float_spelled_symbols;
         case "of_string surface forms" test_value_of_string_forms;
         case "fresh null generator" test_fresh_gen ] );
     ( "relational.tuple",
@@ -396,7 +581,9 @@ let suites =
         case "composite index buckets" test_relation_composite_index;
         case "distinct-count sketch" test_relation_distinct;
         case "map_values merges nulls" test_relation_map_values;
-        case "remove" test_relation_remove ] );
+        case "remove" test_relation_remove;
+        case "copies share indexes without leaking"
+          test_relation_copy_shares_indexes ] );
     ( "relational.instance",
       [ case "declare idempotent + clash" test_instance_declare;
         case "copy independence" test_instance_copy_independent;
@@ -407,5 +594,6 @@ let suites =
         case "csv roundtrip" test_csv_roundtrip;
         case "csv file roundtrip" test_csv_file_roundtrip;
         case "csv malformed input" test_csv_malformed;
-        case "csv quoting" test_csv_quoting ] );
+        case "csv quoting" test_csv_quoting;
+        case "csv float-spelled symbols" test_csv_float_spelled_symbols ] );
     ("relational.properties", qcheck_cases) ]
